@@ -3,6 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
+	"slices"
 )
 
 // factor maintains an LU factorization of the simplex basis matrix B plus a
@@ -23,6 +24,18 @@ import (
 // map between slot and processing spaces. FTRAN/BTRAN convert at the
 // boundaries so callers only ever see slot space. Eta vectors live in slot
 // space.
+//
+// Every solve comes in two forms. The dense ftran/btran sweep all m
+// positions. The hypersparse ftranSparse/btranUnit (Hall & McKinnon,
+// "Hyper-sparsity in the revised simplex method", 2005) first find the
+// topological reach of the right-hand side's nonzeros with the same DFS
+// refactorize uses, then touch only the L, U and eta entries on it. FTRAN
+// visits its reach in the dense loops' order; BTRAN's dot-form entries each
+// sum their own column in storage order. Either way every entry gets the
+// dense kernel's terms in the dense kernel's order, less terms that are
+// exact zeros, so both forms produce the same value in every entry, bit for
+// bit. They may differ only in the sign of a zero, which no caller can
+// observe: zeros are skipped or compared with ==.
 type factor struct {
 	m int
 
@@ -52,12 +65,27 @@ type factor struct {
 	work2 []float64
 	work3 []float64
 
-	// Scratch for the Gilbert-Peierls symbolic reach.
+	// Scratch for the Gilbert-Peierls symbolic reach. seen[i] == epoch marks
+	// membership of the set being built; the hypersparse solves reuse it for
+	// processing, slot and row spaces alike.
 	seen    []int32
 	epoch   int32
 	reach   []int32
 	dfs     []int32
 	dfsIter []int32
+
+	// Hypersparse solves. hy and hz (processing space) and hx (slot space)
+	// are all zero between calls; reachA/reachB/starts are their index
+	// lists. uRows[t] lists the U columns with an entry in position t, and
+	// lRows[t] the L columns with an entry in row pivRow[t]: the row-wise
+	// structure the BTRAN reach walks. It is built on the first btranUnit
+	// after a refactorization, so a factorization used for a few pivots
+	// never pays for it.
+	hy, hz, hx     []float64
+	reachA, reachB []int32
+	starts         []int32
+	uRows, lRows   [][]int32
+	rowsBuilt      bool
 
 	// Scratch for singleton peeling.
 	pattern  [][]int32 // slot -> row pattern
@@ -91,6 +119,11 @@ func newFactor(m int) *factor {
 		work:      make([]float64, m),
 		work2:     make([]float64, m),
 		work3:     make([]float64, m),
+		hy:        make([]float64, m),
+		hz:        make([]float64, m),
+		hx:        make([]float64, m),
+		uRows:     make([][]int32, m),
+		lRows:     make([][]int32, m),
 		seen:      make([]int32, m),
 		reach:     make([]int32, 0, m),
 		dfs:       make([]int32, 0, 64),
@@ -252,6 +285,7 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 	// Drop the eta file logically; the entries (and their inner slices) stay
 	// allocated for pushEta to recycle.
 	f.numEtas = 0
+	f.rowsBuilt = false
 	for i := range f.rowPos {
 		f.rowPos[i] = -1
 	}
@@ -373,25 +407,51 @@ func (f *factor) refactorize(col func(slot int, scatter []float64) []int32) erro
 // can touch the given column pattern, in elimination order (reverse DFS
 // postorder) — the symbolic phase of Gilbert-Peierls.
 func (f *factor) computeReach(rows []int32) []int32 {
+	f.nextEpoch()
+	f.reach = f.reachFrom(rows, f.lIdx, f.rowPos, f.reach[:0])
+	// Postorder lists dependents before their prerequisites; reverse it.
+	slices.Reverse(f.reach)
+	return f.reach
+}
+
+// nextEpoch starts a new membership set in seen.
+func (f *factor) nextEpoch() int32 {
+	if f.epoch == math.MaxInt32 {
+		clear(f.seen)
+		f.epoch = 0
+	}
 	f.epoch++
-	f.reach = f.reach[:0]
-	for _, r := range rows {
-		t := f.rowPos[r]
-		if t < 0 || f.seen[t] == f.epoch {
+	return f.epoch
+}
+
+// reachFrom appends to out, in DFS postorder, every node reachable from
+// starts along adj that the current epoch has not yet marked, and marks
+// them. With relabel non-nil, starts and adjacency entries are indices that
+// relabel maps to nodes, negative meaning none.
+func (f *factor) reachFrom(starts []int32, adj [][]int32, relabel []int32, out []int32) []int32 {
+	ep := f.epoch
+	for _, t := range starts {
+		if relabel != nil {
+			t = relabel[t]
+		}
+		if t < 0 || f.seen[t] == ep {
 			continue
 		}
 		f.dfs = append(f.dfs[:0], t)
 		f.dfsIter = append(f.dfsIter[:0], 0)
-		f.seen[t] = f.epoch
+		f.seen[t] = ep
 		for len(f.dfs) > 0 {
 			top := len(f.dfs) - 1
 			c := f.dfs[top]
-			li := f.lIdx[c]
+			next := adj[c]
 			advanced := false
-			for it := f.dfsIter[top]; int(it) < len(li); it++ {
-				child := f.rowPos[li[it]]
-				if child >= 0 && f.seen[child] != f.epoch {
-					f.seen[child] = f.epoch
+			for it := f.dfsIter[top]; int(it) < len(next); it++ {
+				child := next[it]
+				if relabel != nil {
+					child = relabel[child]
+				}
+				if child >= 0 && f.seen[child] != ep {
+					f.seen[child] = ep
 					f.dfsIter[top] = it + 1
 					f.dfs = append(f.dfs, child)
 					f.dfsIter = append(f.dfsIter, 0)
@@ -400,17 +460,51 @@ func (f *factor) computeReach(rows []int32) []int32 {
 				}
 			}
 			if !advanced {
-				f.reach = append(f.reach, c)
+				out = append(out, c)
 				f.dfs = f.dfs[:top]
 				f.dfsIter = f.dfsIter[:top]
 			}
 		}
 	}
-	// Postorder lists dependents before their prerequisites; reverse it.
-	for i, j := 0, len(f.reach)-1; i < j; i, j = i+1, j-1 {
-		f.reach[i], f.reach[j] = f.reach[j], f.reach[i]
+	return out
+}
+
+// ascending sorts the members of the current epoch's set, listed in idx,
+// into ascending order: by comparison sort when the set is small, else by a
+// scan of seen, which costs m but no comparisons.
+func (f *factor) ascending(idx []int32) []int32 {
+	if len(idx) < f.m>>5 {
+		slices.Sort(idx)
+		return idx
 	}
-	return f.reach
+	idx = idx[:0]
+	for i, e := range f.seen {
+		if e == f.epoch {
+			idx = append(idx, int32(i))
+		}
+	}
+	return idx
+}
+
+// buildRows fills uRows and lRows from the current factorization.
+func (f *factor) buildRows() {
+	if f.rowsBuilt {
+		return
+	}
+	for t := range f.uRows {
+		f.uRows[t] = f.uRows[t][:0]
+		f.lRows[t] = f.lRows[t][:0]
+	}
+	for k := int32(0); k < int32(f.m); k++ {
+		for _, t := range f.uIdx[k] {
+			f.uRows[t] = append(f.uRows[t], k)
+		}
+		for _, r := range f.lIdx[k] {
+			t := f.rowPos[r]
+			f.lRows[t] = append(f.lRows[t], k)
+		}
+	}
+	f.rowsBuilt = true
 }
 
 // ftran solves B x = a in place: on entry buf holds a (original-row indexed,
@@ -496,11 +590,164 @@ func (f *factor) btran(buf []float64) {
 	}
 }
 
+// ftranSparse is ftran for a right-hand side whose nonzeros lie in the rows
+// listed in rhs (duplicates allowed); every other entry of buf must compare
+// equal to 0. It appends to out, ascending, every slot of the result that
+// may be nonzero and returns it; out may share rhs's backing array. Cost is
+// proportional to the reach of rhs in L and U plus the etas it meets.
+func (f *factor) ftranSparse(buf []float64, rhs []int32, out []int32) []int32 {
+	// L, forward over the reach in ascending position: each row is final
+	// when its position comes up (later columns touch only later rows), so
+	// it moves to y and leaves buf zero.
+	y := f.hy
+	f.nextEpoch()
+	f.reachA = f.ascending(f.reachFrom(rhs, f.lIdx, f.rowPos, f.reachA[:0]))
+	starts := f.starts[:0]
+	for _, t := range f.reachA {
+		r := f.pivRow[t]
+		v := buf[r]
+		buf[r] = 0
+		if v == 0 {
+			continue
+		}
+		y[t] = v
+		starts = append(starts, t)
+		li, lv := f.lIdx[t], f.lVal[t]
+		for s, r := range li {
+			buf[r] -= lv[s] * v
+		}
+	}
+	f.starts = starts
+	// U, backward over the reach of L's nonzeros in descending position,
+	// scattering each final entry to its slot.
+	f.nextEpoch()
+	f.reachB = f.ascending(f.reachFrom(starts, f.uIdx, nil, f.reachB[:0]))
+	out = out[:0]
+	for i := len(f.reachB) - 1; i >= 0; i-- {
+		k := f.reachB[i]
+		xk := y[k] / f.uDiag[k]
+		y[k] = 0
+		ui, uv := f.uIdx[k], f.uVal[k]
+		for s, t := range ui {
+			y[t] -= uv[s] * xk
+		}
+		buf[f.slotOfPos[k]] = xk
+	}
+	// Etas in order; each nonzero pivot entry spreads the pattern.
+	ep := f.nextEpoch()
+	for _, k := range f.reachB {
+		sl := f.slotOfPos[k]
+		f.seen[sl] = ep
+		out = append(out, sl)
+	}
+	for e := 0; e < f.numEtas; e++ {
+		p := f.etaP[e]
+		xp := buf[p] / f.etaPiv[e]
+		if xp != 0 {
+			ei, ev := f.etaIdx[e], f.etaVal[e]
+			for s, i := range ei {
+				if f.seen[i] != ep {
+					f.seen[i] = ep
+					out = append(out, i)
+				}
+				buf[i] -= ev[s] * xp
+			}
+		}
+		buf[p] = xp
+	}
+	return f.ascending(out)
+}
+
+// btranUnit is btran of the unit vector e_p: it writes y with yᵀB = e_pᵀ
+// into out (original-row indexed; every entry must compare equal to 0 on
+// entry), appends to rows, ascending, every row of y that may be nonzero,
+// and returns it. The triangular solves run in dot form over the reach of
+// e_p through the row-wise structure of U and L. A dot-form entry sums its
+// own column's terms in storage order, so any topological order of the
+// reach — here reverse DFS postorder — gives the dense loop's bits.
+func (f *factor) btranUnit(p int, out []float64, rows []int32) []int32 {
+	f.buildRows()
+	// Etas, newest first, in dot form; each can only set its own pivot slot.
+	x := f.hx
+	x[p] = 1
+	ep := f.nextEpoch()
+	f.seen[p] = ep
+	slots := append(f.starts[:0], int32(p))
+	for e := f.numEtas - 1; e >= 0; e-- {
+		pe := f.etaP[e]
+		cp := x[pe]
+		ei, ev := f.etaIdx[e], f.etaVal[e]
+		for s, i := range ei {
+			cp -= ev[s] * x[i]
+		}
+		x[pe] = cp / f.etaPiv[e]
+		if x[pe] != 0 && f.seen[pe] != ep {
+			f.seen[pe] = ep
+			slots = append(slots, pe)
+		}
+	}
+	// Into processing order: z holds c, then Uᵀz = c is solved in place;
+	// positions off the reach stay zero.
+	z := f.hz
+	starts := f.reachA[:0]
+	for _, sl := range slots {
+		v := x[sl]
+		x[sl] = 0
+		if v != 0 {
+			k := f.posOfSlot[sl]
+			z[k] = v
+			starts = append(starts, k)
+		}
+	}
+	f.starts, f.reachA = slots, starts
+	f.nextEpoch()
+	f.reachB = f.reachFrom(starts, f.uRows, nil, f.reachB[:0])
+	starts = f.reachA[:0]
+	for i := len(f.reachB) - 1; i >= 0; i-- {
+		k := f.reachB[i]
+		v := z[k]
+		ui, uv := f.uIdx[k], f.uVal[k]
+		for s, t := range ui {
+			v -= uv[s] * z[t]
+		}
+		z[k] = v / f.uDiag[k]
+		if z[k] != 0 {
+			starts = append(starts, k)
+		}
+	}
+	f.reachA = starts
+	// Lᵀy = z over the reach through L's rows.
+	f.nextEpoch()
+	reach := f.reachFrom(starts, f.lRows, nil, f.starts[:0])
+	for i := len(reach) - 1; i >= 0; i-- {
+		t := reach[i]
+		v := z[t]
+		li, lv := f.lIdx[t], f.lVal[t]
+		for s, r := range li {
+			v -= lv[s] * out[r]
+		}
+		out[f.pivRow[t]] = v
+	}
+	f.starts = reach
+	for _, k := range f.reachB {
+		z[k] = 0
+	}
+	ep = f.nextEpoch()
+	rows = rows[:0]
+	for _, t := range reach {
+		r := f.pivRow[t]
+		f.seen[r] = ep
+		rows = append(rows, r)
+	}
+	return f.ascending(rows)
+}
+
 // pushEta records the basis change where the column with FTRAN image w
-// (slot indexed, dense) replaces the basis variable at slot p. Returns false
-// if the pivot element is too small for a stable update. Eta entries beyond
-// numEtas left over from earlier factorizations are recycled in place.
-func (f *factor) pushEta(p int, w []float64) bool {
+// (slot indexed; nonzero only in the slots listed ascending in nz) replaces
+// the basis variable at slot p. Returns false if the pivot element is too
+// small for a stable update. Eta entries beyond numEtas left over from
+// earlier factorizations are recycled in place.
+func (f *factor) pushEta(p int, w []float64, nz []int32) bool {
 	piv := w[p]
 	if math.Abs(piv) < 1e-9 {
 		return false
@@ -511,9 +758,9 @@ func (f *factor) pushEta(p int, w []float64) bool {
 	if e < len(f.etaIdx) {
 		idx, val = f.etaIdx[e][:0], f.etaVal[e][:0]
 	}
-	for i, v := range w[:f.m] {
-		if i != p && v != 0 {
-			idx = append(idx, int32(i))
+	for _, i := range nz {
+		if v := w[i]; int(i) != p && v != 0 {
+			idx = append(idx, i)
 			val = append(val, v)
 		}
 	}

@@ -18,13 +18,22 @@
 // Internally every row receives a slack variable turning the system into
 // Ax + Is = b with bounded slacks, and infeasibility is resolved with a
 // textbook two-phase method using explicit artificial variables.
+//
+// Each pivot costs in proportion to the nonzeros it touches, not to the row
+// count. The pivot row ρ = B⁻ᵀe_p comes from a hypersparse BTRAN over the
+// topological reach of e_p. The entering column, the dual steepest-edge
+// vector and bound-flip batches come from hypersparse FTRANs. The pivot row
+// ρᵀA is gathered from the problem's rows that ρ touches. Each call picks
+// the sparse or the dense kernel from the density it observes. Both produce
+// the same values bit for bit, so the choice never changes a pivot:
+// iteration counts, branch-and-bound trees and solutions are the same
+// whichever runs (see docs/solver.md).
 package lp
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -424,10 +433,3 @@ func (p *Problem) Objective(x []float64) float64 {
 	}
 	return v
 }
-
-// DebugCounters exposes internal iteration statistics of the last completed
-// solve for performance diagnostics (test-only; subject to change). Atomic
-// because solves may run concurrently — e.g. under the planning service's
-// worker pool — in which case the values reflect whichever solve finished
-// last.
-var DebugCounters struct{ Phase1Iters, Degenerate atomic.Int64 }

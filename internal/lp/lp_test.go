@@ -278,18 +278,22 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
+// chainLP builds a chain-structured LP: n variables boxed in [0, 2] with
+// costs 1..7 and one covering row x_j + x_{j+1} ≥ 1 per neighbouring pair.
+func chainLP(n int) *Problem {
+	var p Problem
+	for j := 0; j < n; j++ {
+		p.AddVar(0, 2, 1+float64(j%7), "v")
+	}
+	for j := 0; j+1 < n; j++ {
+		p.AddRow(GE, 1, []int32{int32(j), int32(j + 1)}, []float64{1, 1})
+	}
+	return &p
+}
+
 func TestLargerSparseLP(t *testing.T) {
 	// Chain-structured LP with ~600 variables exercising refactorization.
-	var p Problem
-	const N = 600
-	ids := make([]int32, N)
-	for j := 0; j < N; j++ {
-		ids[j] = int32(p.AddVar(0, 2, 1+float64(j%7), "v"))
-	}
-	for j := 0; j+1 < N; j++ {
-		// x_j + x_{j+1} >= 1
-		p.AddRow(GE, 1, []int32{ids[j], ids[j+1]}, []float64{1, 1})
-	}
+	p := chainLP(600)
 	sol := p.Solve(Options{})
 	if sol.Status != StatusOptimal {
 		t.Fatalf("status=%v iters=%d", sol.Status, sol.Iters)

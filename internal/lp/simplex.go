@@ -2,6 +2,7 @@ package lp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -41,12 +42,16 @@ type simplex struct {
 	f *factor
 
 	// Scratch.
-	bufW []float64 // FTRAN result
-	bufY []float64 // BTRAN result
-	bufA []float64 // dense rhs accumulation
-	bufR []float64 // BTRAN of the pivot unit vector (devex / DSE row)
-	bufT []float64 // FTRAN of the pivot row (DSE weight update)
-	pbuf []float64 // perturbed phase-2 costs
+	bufY     []float64 // BTRAN of the basic costs (dense)
+	bufA     []float64 // dense rhs accumulation
+	pbuf     []float64 // perturbed phase-2 costs
+	w        hvec      // FTRAN of the entering column
+	rho      hvec      // BTRAN of the pivot unit vector (devex / DSE row)
+	tau      hvec      // FTRAN of rho (DSE weight update)
+	flip     hvec      // summed columns of a bound-flip batch, then its FTRAN
+	alpha    hvec      // pivot row ρᵀaⱼ, one entry per column
+	inRow    []bool    // alpha: column already listed in alpha.idx
+	rowIndex []int32   // 0..m-1: sliced for the row list of a slack or artificial
 
 	// Devex reference weights (one per column); reset to 1 when the
 	// reference framework is rebuilt.
@@ -68,7 +73,6 @@ type simplex struct {
 	dualIters  int
 	flips      int // bound flips performed by the long-step dual ratio test
 	dseUpdates int // DSE reference-weight updates applied
-	degens     int
 	phase      int
 	blandLeft  int // if > 0, use Bland's rule for this many iterations
 	degenRun   int
@@ -96,11 +100,18 @@ func newSimplex(p *Problem, opt Options) *simplex {
 	s.basis = make([]int32, m)
 	s.xB = make([]float64, m)
 	s.f = newFactor(m)
-	s.bufW = make([]float64, m)
 	s.bufY = make([]float64, m)
 	s.bufA = make([]float64, m)
-	s.bufR = make([]float64, m)
-	s.bufT = make([]float64, m)
+	s.w = newHvec(m)
+	s.rho = newHvec(m)
+	s.tau = newHvec(m)
+	s.flip = newHvec(m)
+	s.alpha = newHvec(s.total)
+	s.inRow = make([]bool, s.total)
+	s.rowIndex = make([]int32, m)
+	for i := range s.rowIndex {
+		s.rowIndex[i] = int32(i)
+	}
 	s.devex = make([]float64, s.total)
 	s.dse = make([]float64, m)
 	s.load(p, opt)
@@ -183,7 +194,7 @@ func (s *simplex) load(p *Problem, opt Options) {
 	}
 	s.pcost = nil
 	s.iters, s.p1iters, s.dualIters = 0, 0, 0
-	s.flips, s.dseUpdates, s.degens = 0, 0, 0
+	s.flips, s.dseUpdates = 0, 0
 	s.phase, s.blandLeft, s.degenRun = 0, 0, 0
 	s.warm = false
 	s.duals = s.duals[:0]
@@ -236,7 +247,7 @@ func (s *simplex) perturbedCosts() []float64 {
 }
 
 // scatterCol adds column j into dense w (original-row indexed) and returns
-// the nonzero row list.
+// the nonzero row list, which the caller must not modify.
 func (s *simplex) scatterCol(j int, w []float64) []int32 {
 	switch {
 	case j < s.n:
@@ -246,13 +257,13 @@ func (s *simplex) scatterCol(j int, w []float64) []int32 {
 		}
 		return s.colRow[lo:hi]
 	case j < s.n+s.m:
-		r := int32(j - s.n)
+		r := j - s.n
 		w[r] += 1
-		return []int32{r}
+		return s.rowIndex[r : r+1]
 	default:
-		r := int32(j - s.n - s.m)
+		r := j - s.n - s.m
 		w[r] += s.artSign[r]
-		return []int32{r}
+		return s.rowIndex[r : r+1]
 	}
 }
 
@@ -271,6 +282,112 @@ func (s *simplex) colDot(j int, y []float64) float64 {
 		r := j - s.n - s.m
 		return s.artSign[r] * y[r]
 	}
+}
+
+// hvec is a dense vector with the list of its entries that may be nonzero:
+// every entry outside idx compares equal to 0. last is the list's length
+// after the previous solve into the vector, the density estimate for the
+// next one.
+type hvec struct {
+	val  []float64
+	idx  []int32
+	last int
+}
+
+func newHvec(n int) hvec { return hvec{val: make([]float64, n)} }
+
+// zero clears the listed entries, leaving the whole vector zero.
+func (h *hvec) zero() {
+	for _, i := range h.idx {
+		h.val[i] = 0
+	}
+	h.idx = h.idx[:0]
+}
+
+// gather lists the nonzero entries of a dense result, ascending.
+func (h *hvec) gather() {
+	h.idx = h.idx[:0]
+	for i, v := range h.val {
+		if v != 0 {
+			h.idx = append(h.idx, int32(i))
+		}
+	}
+}
+
+// hyperDensity is the density, as a fraction of m, below which FTRAN and
+// BTRAN take the hypersparse kernels: both the right-hand side and the
+// previous result at the same call site must be sparser. Denser solves reach
+// most of L and U anyway, where the dense sweeps' tight loops win; on the
+// zoo LPs 0.4 timed faster than 0.1 and than always sparse. Both kernels
+// produce the same values, so this constant trades speed only.
+const hyperDensity = 0.40
+
+func (s *simplex) hyper(rhsNZ, last int) bool {
+	return float64(max(rhsNZ, last)) < hyperDensity*float64(s.m)
+}
+
+// ftran replaces the right-hand side in h, whose nonzero rows rhs lists, by
+// its FTRAN image B⁻¹h and lists the image's entries in h.idx.
+func (s *simplex) ftran(h *hvec, rhs []int32) {
+	if s.hyper(len(rhs), h.last) {
+		h.idx = s.f.ftranSparse(h.val, rhs, h.idx)
+	} else {
+		s.f.ftran(h.val)
+		h.gather()
+	}
+	h.last = len(h.idx)
+}
+
+// ftranCol computes the FTRAN image of column q into s.w.
+func (s *simplex) ftranCol(q int) {
+	s.w.zero()
+	s.ftran(&s.w, s.scatterCol(q, s.w.val))
+}
+
+// pivotRow computes ρ = B⁻ᵀe_p into s.rho and the pivot row αⱼ = aⱼᵀρ into
+// s.alpha, from the problem's rows: αⱼ gathers one term per nonzero ρᵢ from
+// row i, rows in ascending order — the order colDot sums column j in — so it
+// equals colDot(j, ρ) bit for bit, for every column, at a cost of the
+// listed rows' lengths rather than of all of A.
+func (s *simplex) pivotRow(p int) {
+	s.btranRow(p)
+	a, rho := &s.alpha, &s.rho
+	for _, j := range a.idx {
+		s.inRow[j] = false
+	}
+	a.zero()
+	n, m := int32(s.n), int32(s.m)
+	for _, i := range rho.idx {
+		ri := rho.val[i]
+		if ri == 0 {
+			continue
+		}
+		vals := s.p.rowVal[i]
+		for k, j := range s.p.rowIdx[i] {
+			if !s.inRow[j] {
+				s.inRow[j] = true
+				a.idx = append(a.idx, j)
+			}
+			a.val[j] += vals[k] * ri
+		}
+		a.val[n+i] = ri
+		a.val[n+m+i] = s.artSign[i] * ri
+		a.idx = append(a.idx, n+i, n+m+i)
+	}
+}
+
+// btranRow computes ρ = B⁻ᵀe_p into s.rho.
+func (s *simplex) btranRow(p int) {
+	rho := &s.rho
+	rho.zero()
+	if s.hyper(1, rho.last) {
+		rho.idx = s.f.btranUnit(p, rho.val, rho.idx)
+	} else {
+		rho.val[p] = 1
+		s.f.btran(rho.val)
+		rho.gather()
+	}
+	rho.last = len(rho.idx)
 }
 
 // nonbasicValue returns the current value of nonbasic column j.
@@ -484,8 +601,6 @@ func (s *simplex) solve() *Solution {
 	}
 	s.pcost = s.cost
 	st := s.iterate()
-	DebugCounters.Phase1Iters.Store(int64(s.p1iters))
-	DebugCounters.Degenerate.Store(int64(s.degens))
 	sol := &Solution{Status: st}
 	if st == StatusOptimal || st == StatusIterLimit {
 		x := make([]float64, s.n)
@@ -648,12 +763,7 @@ func (s *simplex) dualIterate() Status {
 		s.dualIters++
 
 		// Pivot row: ρ = B⁻ᵀ e_leave, α_j = aⱼᵀρ.
-		rho := s.bufR
-		for i := range rho {
-			rho[i] = 0
-		}
-		rho[leave] = 1
-		s.f.btran(rho)
+		s.pivotRow(leave)
 
 		// Reduced costs need y = B⁻ᵀ c_B as well.
 		y := s.bufY
@@ -673,12 +783,13 @@ func (s *simplex) dualIterate() Status {
 		// eligible candidate with its dual breakpoint.
 		needInc := leaveAt == statAtLower // basic below lower: must increase
 		cands := s.cands[:0]
-		for j := 0; j < s.total; j++ {
+		for _, j32 := range s.alpha.idx {
+			j := int(j32)
 			st := s.stat[j]
 			if st == statBasic || s.fixed(j) {
 				continue
 			}
-			alpha := s.colDot(j, rho)
+			alpha := s.alpha.val[j]
 			if math.Abs(alpha) < pivTol {
 				continue
 			}
@@ -717,7 +828,9 @@ func (s *simplex) dualIterate() Status {
 		q := -1
 		var qAlpha, qRatio float64
 		if classic {
-			// Single-breakpoint test: smallest ratio, larger |α| on near ties.
+			// Single-breakpoint test: smallest ratio, larger |α| on near ties,
+			// first column on exact ties — so candidates go in column order.
+			slices.SortFunc(cands, func(a, b dualCand) int { return int(a.j - b.j) })
 			bestRatio, bestAbs := math.Inf(1), 0.0
 			for _, c := range cands {
 				if c.ratio < bestRatio-1e-10 || (c.ratio < bestRatio+1e-10 && math.Abs(c.alpha) > bestAbs) {
@@ -758,28 +871,28 @@ func (s *simplex) dualIterate() Status {
 		delta := e / qAlpha
 
 		// FTRAN the entering column to update the basic values.
-		w := s.bufW
-		for i := range w {
-			w[i] = 0
-		}
-		s.scatterCol(q, w)
-		s.f.ftran(w)
+		s.ftranCol(q)
+		w := s.w.val
 
 		// Forrest–Goldfarb weight update, before the eta is pushed (the τ
 		// FTRAN must use the pre-pivot basis): β_r ← β_r/α_r²,
 		// β_i ← max(β_i − 2(w_i/α_r)τ_i + (w_i/α_r)²β_r, floor) with
 		// τ = B⁻¹ρ.
 		if !classic {
-			tau := s.bufT
-			copy(tau, rho)
-			s.f.ftran(tau)
+			s.tau.zero()
+			for _, i := range s.rho.idx {
+				s.tau.val[i] = s.rho.val[i]
+			}
+			s.ftran(&s.tau, s.rho.idx)
+			tau := s.tau.val
 			ar := w[leave]
 			if math.Abs(ar) > pivTol {
 				br := s.dse[leave]
 				if br < 1e-10 {
 					br = 1e-10
 				}
-				for i := 0; i < s.m; i++ {
+				for _, i32 := range s.w.idx {
+					i := int(i32)
 					if i == leave || w[i] == 0 {
 						continue
 					}
@@ -804,7 +917,7 @@ func (s *simplex) dualIterate() Status {
 		}
 
 		enterVal := s.nonbasicValue(q) + delta
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.w.idx {
 			if w[i] != 0 {
 				s.xB[i] -= w[i] * delta
 			}
@@ -813,7 +926,7 @@ func (s *simplex) dualIterate() Status {
 		s.basis[leave] = int32(q)
 		s.stat[q] = statBasic
 		s.xB[leave] = enterVal
-		if !s.f.pushEta(leave, w) {
+		if !s.f.pushEta(leave, w, s.w.idx) {
 			if !s.refactorAndRecompute() {
 				return StatusIterLimit
 			}
@@ -865,10 +978,8 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 		nflip++
 	}
 	if nflip > 0 {
-		acc := s.bufA
-		for i := range acc {
-			acc[i] = 0
-		}
+		acc := &s.flip
+		acc.zero()
 		for k := 0; k < nflip; k++ {
 			c := cands[k]
 			j := int(c.j)
@@ -880,12 +991,12 @@ func (s *simplex) boundFlipRatioTest(cands []dualCand, leave int, remaining floa
 				dv = s.lower[j] - s.upper[j]
 				s.stat[j] = statAtLower
 			}
-			s.addColScaled(j, dv, acc)
+			acc.idx = append(acc.idx, s.addColScaled(j, dv, acc.val)...)
 		}
-		s.f.ftran(acc)
-		for i := 0; i < s.m; i++ {
-			if acc[i] != 0 {
-				s.xB[i] -= acc[i]
+		s.ftran(acc, acc.idx)
+		for _, i := range acc.idx {
+			if v := acc.val[i]; v != 0 {
+				s.xB[i] -= v
 			}
 		}
 		s.flips += nflip
@@ -909,18 +1020,24 @@ func (b byRatio) Less(i, j int) bool {
 	return b[i].j < b[j].j
 }
 
-// addColScaled accumulates v·aⱼ into dense w (original-row indexed).
-func (s *simplex) addColScaled(j int, v float64, w []float64) {
+// addColScaled accumulates v·aⱼ into dense w (original-row indexed) and
+// returns aⱼ's row list, as scatterCol does.
+func (s *simplex) addColScaled(j int, v float64, w []float64) []int32 {
 	switch {
 	case j < s.n:
-		for k := s.colPtr[j]; k < s.colPtr[j+1]; k++ {
+		lo, hi := s.colPtr[j], s.colPtr[j+1]
+		for k := lo; k < hi; k++ {
 			w[s.colRow[k]] += s.colVal[k] * v
 		}
+		return s.colRow[lo:hi]
 	case j < s.n+s.m:
-		w[j-s.n] += v
+		r := j - s.n
+		w[r] += v
+		return s.rowIndex[r : r+1]
 	default:
 		r := j - s.n - s.m
 		w[r] += s.artSign[r] * v
+		return s.rowIndex[r : r+1]
 	}
 }
 
@@ -931,7 +1048,7 @@ func (s *simplex) setupPhase1() bool {
 	// The basis is currently all slacks, so xB[i] is the slack value of the
 	// row at position rowPos... with slack basis pivoting is 1:1; recompute
 	// per row residual directly for clarity.
-	resid := make([]float64, s.m)
+	resid := s.bufA
 	for i := 0; i < s.m; i++ {
 		resid[i] = s.p.rowRHS[i]
 	}
@@ -1070,12 +1187,8 @@ func (s *simplex) iterate() Status {
 		}
 
 		// FTRAN: w = B⁻¹ a_q.
-		w := s.bufW
-		for i := range w {
-			w[i] = 0
-		}
-		s.scatterCol(q, w)
-		s.f.ftran(w)
+		s.ftranCol(q)
+		w := s.w.val
 
 		// Ratio test. Entering moves by t ≥ 0 in direction dir; basic i
 		// changes at rate -dir·w[i]. tBasic is the largest step before some
@@ -1089,7 +1202,8 @@ func (s *simplex) iterate() Status {
 		leave, leaveAbs := -1, 0.0
 		var leaveAt int8
 		const pivTol = 1e-9
-		for i := 0; i < s.m; i++ {
+		for _, i32 := range s.w.idx {
+			i := int(i32)
 			if math.Abs(w[i]) < pivTol {
 				continue
 			}
@@ -1130,7 +1244,6 @@ func (s *simplex) iterate() Status {
 		// Track degeneracy; switch to Bland's rule on long degenerate runs
 		// to guarantee termination.
 		if step <= 1e-12 {
-			s.degens++
 			s.degenRun++
 			if s.degenRun > 200 && s.blandLeft == 0 {
 				s.blandLeft = 5000
@@ -1144,7 +1257,7 @@ func (s *simplex) iterate() Status {
 
 		if flipDist <= tBasic {
 			// Bound flip: entering traverses its whole range, basis intact.
-			for i := 0; i < s.m; i++ {
+			for _, i := range s.w.idx {
 				if w[i] != 0 {
 					s.xB[i] -= dir * w[i] * flipDist
 				}
@@ -1159,20 +1272,16 @@ func (s *simplex) iterate() Status {
 		// Devex weight update (Forrest-Goldfarb) using the pivot row
 		// ρᵀA with ρ = B⁻ᵀ e_p, before the basis changes.
 		if !bland && !s.opt.Dantzig {
-			rho := s.bufR
-			for i := range rho {
-				rho[i] = 0
-			}
-			rho[leave] = 1
-			s.f.btran(rho)
+			s.pivotRow(leave)
 			a := w[leave]
 			gq := s.devex[q]
 			maxW := 1.0
-			for j := 0; j < s.total; j++ {
+			for _, j32 := range s.alpha.idx {
+				j := int(j32)
 				if s.stat[j] == statBasic || s.fixed(j) || j == q {
 					continue
 				}
-				alpha := s.colDot(j, rho)
+				alpha := s.alpha.val[j]
 				if alpha == 0 {
 					continue
 				}
@@ -1196,7 +1305,7 @@ func (s *simplex) iterate() Status {
 
 		// Pivot: q enters at position leave.
 		enterVal := s.nonbasicValue(q) + dir*step
-		for i := 0; i < s.m; i++ {
+		for _, i := range s.w.idx {
 			if w[i] != 0 {
 				s.xB[i] -= dir * w[i] * step
 			}
@@ -1206,7 +1315,7 @@ func (s *simplex) iterate() Status {
 		s.basis[leave] = int32(q)
 		s.stat[q] = statBasic
 		s.xB[leave] = enterVal
-		if !s.f.pushEta(leave, w) {
+		if !s.f.pushEta(leave, w, s.w.idx) {
 			if !s.refactorAndRecompute() {
 				return StatusIterLimit
 			}
