@@ -212,8 +212,9 @@ func TestAutoReroutesToAnytimeOnTightDeadline(t *testing.T) {
 
 	// Keys must follow the routing: the Auto key under the tight deadline is
 	// the Anytime key, not the Optimal one.
-	opt := tight.options()
-	if a, b := small.SolveKeyFor(Auto, budget, opt), small.SolveKeyFor(Anytime, budget, opt); a != b {
+	asAnytime := tight
+	asAnytime.Method = Anytime
+	if a, b := tight.Key(), asAnytime.Key(); a != b {
 		t.Fatalf("Auto key %v != Anytime key %v under a tight deadline", a, b)
 	}
 
@@ -234,17 +235,32 @@ func TestAutoReroutesToAnytimeOnTightDeadline(t *testing.T) {
 func TestAnytimeKeyDomain(t *testing.T) {
 	wl := chainWorkload(t, 20)
 	budget := wl.CheckpointAllPeak()
-	opt := SolveOptions{TimeLimit: time.Second}
-	any := wl.SolveKeyFor(Anytime, budget, opt)
-	for _, m := range []Method{Optimal, Approx, Interval} {
-		if wl.SolveKeyFor(m, budget, opt) == any {
+	req := Request{Workload: wl, Method: Anytime, Budget: budget, TimeLimit: time.Second}
+	any := req.Key()
+	for _, m := range []Method{Optimal, Approx, Interval, Baseline} {
+		other := req
+		other.Method = m
+		if other.Key() == any {
 			t.Fatalf("anytime key collides with %q", m)
 		}
 	}
-	if wl.SolveKeyFor(Anytime, budget, SolveOptions{TimeLimit: 2 * time.Second}) == any {
+	slower := req
+	slower.TimeLimit = 2 * time.Second
+	if slower.Key() == any {
 		t.Fatal("anytime key ignores the deadline")
 	}
-	if wl.SolveKeyFor(Anytime, budget, opt) != any {
+	if req.Key() != any {
 		t.Fatal("anytime key not deterministic")
+	}
+	// The ladder's last rung runs the named heuristic: the default name keys
+	// like an unnamed request, any other name keys apart.
+	named := req
+	named.Baseline = defaultBaseline
+	if named.Key() != any {
+		t.Fatal("explicit default baseline changed the anytime key")
+	}
+	named.Baseline = "chen-sqrt(n)"
+	if named.Key() == any {
+		t.Fatal("anytime key ignores the ladder's baseline heuristic")
 	}
 }

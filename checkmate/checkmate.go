@@ -19,9 +19,6 @@
 // typed progress events — Started, Incumbent, BoundImproved, SweepPoint,
 // Done — while the solver runs, exposing the anytime incumbent/bound
 // trajectory of the branch-and-bound search.
-//
-// The pre-Solve entry points (SolveOptimal, SolveApprox, SolveSweep and
-// their Ctx variants) remain as deprecated wrappers.
 package checkmate
 
 import (
@@ -147,109 +144,6 @@ func (w *Workload) Fingerprint() graph.Fingerprint {
 	return d.Sum()
 }
 
-// SolveKey extends Fingerprint with the budget and every solver option that
-// can change the resulting schedule — the complete cache key for a solve.
-// approximate distinguishes SolveApprox results from SolveOptimal ones.
-func (w *Workload) SolveKey(budget int64, opt SolveOptions, approximate bool) graph.Fingerprint {
-	d := graph.NewDigest()
-	d.String("solve/v1")
-	w.Graph.WriteDigest(d)
-	d.Int64(w.Overhead)
-	d.Int64(budget)
-	d.Bool(approximate)
-	// TimeLimit is part of the key for both solvers: it bounds the optimal
-	// search directly and the approximation via context timeout, so requests
-	// with different limits may legitimately produce different schedules.
-	d.Int64(int64(opt.TimeLimit))
-	if !approximate {
-		d.Float64(opt.RelGap)
-		d.Bool(opt.Unpartitioned)
-		// Parallel search may return a different (equally optimal) schedule
-		// among cost ties, so Threads is part of the key. Serial solves
-		// (0 or 1) are not digested, keeping keys from older stores valid.
-		if opt.Threads > 1 {
-			d.Int64(int64(opt.Threads))
-		}
-	}
-	return d.Sum()
-}
-
-// EstimateSolveCost predicts the expense of solving this workload at the
-// given budget, in abstract cost units roughly proportional to solver
-// milliseconds on a reference core. It is deliberately cheap (no LP is
-// built) and deliberately rough: its consumer is admission control in the
-// planning service, which needs relative ordering — "this request is ~1000×
-// that one" — not wall-clock accuracy, and recalibrates the scale online
-// from observed solve times.
-//
-// The shape of the estimate follows the solver's actual cost drivers:
-//
-//   - Graph size dominates. The MILP has Θ(n²) variables and rows
-//     (Section 4.7), and simplex-style solvers cost superlinearly in problem
-//     size, so the base term grows as n^2.5.
-//   - Budget tightness multiplies. Near the checkpoint-all peak the LP
-//     relaxation is nearly integral and branch-and-bound closes immediately;
-//     near the minimum feasible budget the search tree deepens. Tightness
-//     scales the estimate by up to 10×.
-//   - Solver choice scales. The two-phase LP rounding (Section 5) skips the
-//     integer search; proving exact optimality (RelGap ≈ 0) costs extra
-//     branch-and-bound relative to accepting a gap; parallel tree search
-//     (Threads) divides wall-clock by a conservatively assumed ~50%
-//     efficiency.
-//
-// The result is clamped to [1, TimeLimit in ms]: the time limit is a hard
-// ceiling on how much work the solver is allowed to do.
-func (w *Workload) EstimateSolveCost(budget int64, opt SolveOptions, approximate bool) float64 {
-	n := float64(w.Graph.Len())
-	if n <= 0 {
-		return 1
-	}
-	// n^2.5, scaled so a ~100-node graph lands near one second's worth of
-	// units before calibration.
-	base := n * n * math.Sqrt(n) / 100
-
-	peak := float64(w.CheckpointAllPeak())
-	minB := float64(w.MinBudget())
-	tightness := 0.0
-	if peak > minB {
-		tightness = (peak - float64(budget)) / (peak - minB)
-	}
-	if tightness < 0 {
-		tightness = 0
-	}
-	if tightness > 1 {
-		tightness = 1
-	}
-	cost := base * (1 + 9*tightness*tightness)
-
-	if approximate {
-		cost *= 0.25
-	} else if opt.RelGap < 1e-4 {
-		// Proving optimality (the default) pays for the full gap-closing
-		// search; a caller-accepted gap stops early.
-		cost *= 2
-	}
-	if !approximate && opt.Threads > 1 {
-		// Parallel tree search shortens the wall clock the admission budget
-		// is calibrated against — but tree shapes rarely keep every worker
-		// busy, so assume a deliberately conservative ~50% efficiency.
-		// Under-discounting only delays admission; over-discounting admits
-		// more concurrent solver work than the budget intends, each solve
-		// additionally holding Threads cores.
-		cost /= 1 + 0.5*float64(opt.Threads-1)
-	}
-
-	if opt.TimeLimit > 0 {
-		if lim := float64(opt.TimeLimit.Milliseconds()); cost > lim {
-			cost = lim
-		}
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
-}
-
 // autoDeadlineHeadroom is the overrun factor at which Auto reroutes to the
 // anytime ladder: the preferred method must be projected to cost more than
 // this multiple of the request deadline before Auto gives up on it. The
@@ -289,78 +183,58 @@ func (w *Workload) autoResolve(budget int64, opt SolveOptions) Method {
 	return m
 }
 
-// SolveKeyFor is the method-aware schedule-cache key: the complete digest
-// of a solve under the given method. Optimal, Approx, and Baseline map onto
-// the original SolveKey digests, so caches populated before methods were
-// first-class stay valid; Interval schedules live in their own digest
-// domain (the interval solver can legitimately return a different — still
-// budget-feasible — schedule than the MILP), and Anytime in its own (the
-// ladder may serve a schedule from any rung). Auto resolves exactly as
-// Request.Resolve does, so routing and keys agree across processes.
-func (w *Workload) SolveKeyFor(m Method, budget int64, opt SolveOptions) graph.Fingerprint {
-	if m == Auto {
-		m = w.autoResolve(budget, opt)
-	}
-	switch m {
-	case Interval:
-		d := graph.NewDigest()
-		d.String("interval/v1")
-		w.Graph.WriteDigest(d)
-		d.Int64(w.Overhead)
-		d.Int64(budget)
-		// Both knobs bound the interval search and change which incumbent it
-		// returns, exactly like the optimal path.
-		d.Int64(int64(opt.TimeLimit))
-		d.Float64(opt.RelGap)
-		return d.Sum()
-	case Anytime:
-		d := graph.NewDigest()
-		d.String("anytime/v1")
-		w.Graph.WriteDigest(d)
-		d.Int64(w.Overhead)
-		d.Int64(budget)
-		// The deadline shapes the ladder's slices — and thereby which rung
-		// serves — so it is as much a part of the result's identity as the
-		// solver knobs the rungs inherit.
-		d.Int64(int64(opt.TimeLimit))
-		d.Float64(opt.RelGap)
-		if opt.Threads > 1 {
-			d.Int64(int64(opt.Threads))
-		}
-		return d.Sum()
-	default:
-		return w.SolveKey(budget, opt, m == Approx)
-	}
-}
-
-// EstimateSolveCostFor is the method-aware admission estimate. Optimal,
-// Approx, and Baseline defer to EstimateSolveCost; the interval formulation
-// carries O(|E|) window variables instead of Θ(n²) binaries and its
-// propagation plus warm-started LP bounds keep per-node work near-linear,
-// so its base grows as n^1.5 — the scaling that makes hundreds-of-nodes
-// graphs admissible at all.
+// EstimateSolveCostFor predicts the expense of solving this workload at the
+// given budget under method m, in abstract cost units roughly proportional
+// to solver milliseconds on a reference core. It is deliberately cheap (no
+// LP is built) and deliberately rough: its consumer is admission control in
+// the planning service, which needs relative ordering — "this request is
+// ~1000× that one" — not wall-clock accuracy, and recalibrates the scale
+// online from observed solve times.
+//
+// The shape of the estimate follows the solver's actual cost drivers:
+//
+//   - Graph size dominates. The MILP has Θ(n²) variables and rows
+//     (Section 4.7), and simplex-style solvers cost superlinearly in problem
+//     size, so the base term grows as n^2.5. The interval formulation
+//     carries O(|E|) window variables instead, and its propagation plus
+//     warm-started LP bounds keep per-node work near-linear, so its base
+//     grows as n^1.5 — the scaling that makes hundreds-of-nodes graphs
+//     admissible at all.
+//   - Budget tightness multiplies. Near the checkpoint-all peak the LP
+//     relaxation is nearly integral and branch-and-bound closes immediately;
+//     near the minimum feasible budget the search tree deepens. Tightness
+//     scales the estimate by up to 10×.
+//   - Solver choice scales. The two-phase LP rounding (Section 5) skips the
+//     integer search; proving exact optimality (RelGap ≈ 0) costs extra
+//     branch-and-bound relative to accepting a gap; parallel tree search
+//     (Threads) divides wall-clock by a conservatively assumed ~50%
+//     efficiency. Baseline is costed like Optimal. So is Anytime, clamped
+//     at its deadline (60 s when none is set): the ladder may spend the
+//     entire deadline across its rungs, so admission budgets for the worst
+//     case. Auto is costed as the method it resolves to.
+//
+// The result is clamped to [1, TimeLimit in ms]: the time limit is a hard
+// ceiling on how much work the solver is allowed to do.
 func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions) float64 {
 	if m == Auto {
 		m = w.autoResolve(budget, opt)
 	}
 	if m == Anytime {
-		// The ladder may spend the entire deadline across its rungs, so
-		// admission budgets for the worst case: the optimal-path cost,
-		// clamped at the deadline like any other method.
-		aopt := opt
-		if aopt.TimeLimit == 0 {
-			aopt.TimeLimit = 60 * time.Second
+		m = Optimal
+		if opt.TimeLimit == 0 {
+			opt.TimeLimit = 60 * time.Second
 		}
-		return w.EstimateSolveCost(budget, aopt, false)
-	}
-	if m != Interval {
-		return w.EstimateSolveCost(budget, opt, m == Approx)
 	}
 	n := float64(w.Graph.Len())
 	if n <= 0 {
 		return 1
 	}
-	base := n * math.Sqrt(n) / 10
+	// n^2.5 (n^1.5 for Interval), scaled so a ~100-node graph lands near one
+	// second's worth of MILP units before calibration.
+	base := n * n * math.Sqrt(n) / 100
+	if m == Interval {
+		base = n * math.Sqrt(n) / 10
+	}
 
 	peak := float64(w.CheckpointAllPeak())
 	minB := float64(w.MinBudget())
@@ -375,6 +249,28 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 		tightness = 1
 	}
 	cost := base * (1 + 9*tightness*tightness)
+
+	switch m {
+	case Interval:
+	case Approx:
+		cost *= 0.25
+	default:
+		if opt.RelGap < 1e-4 {
+			// Proving optimality (the default) pays for the full gap-closing
+			// search; a caller-accepted gap stops early.
+			cost *= 2
+		}
+		if opt.Threads > 1 {
+			// Parallel tree search shortens the wall clock the admission
+			// budget is calibrated against — but tree shapes rarely keep
+			// every worker busy, so assume a deliberately conservative ~50%
+			// efficiency. Under-discounting only delays admission;
+			// over-discounting admits more concurrent solver work than the
+			// budget intends, each solve additionally holding Threads cores.
+			cost /= 1 + 0.5*float64(opt.Threads-1)
+		}
+	}
+
 	if opt.TimeLimit > 0 {
 		if lim := float64(opt.TimeLimit.Milliseconds()); cost > lim {
 			cost = lim
@@ -409,7 +305,8 @@ var (
 	ErrSolveLimit = errors.New("checkmate: no feasible schedule found within solver limits")
 )
 
-// SolveOptions tune the optimal solver.
+// SolveOptions are the solver knobs of a Request that admission estimates
+// (EstimateSolveCostFor) depend on.
 type SolveOptions struct {
 	// TimeLimit mirrors the paper's 3600 s solver limit (default 60 s).
 	TimeLimit time.Duration
@@ -499,44 +396,6 @@ type Schedule struct {
 // checkpoint-all policy (1.0 = no recomputation cost).
 func (s *Schedule) Overhead() float64 { return s.Cost / s.IdealCost }
 
-// SolveOptimal solves the MILP of paper Section 4.7 at the given budget.
-// A budget below MinBudget or an over-constrained instance returns an error.
-//
-// Deprecated: use Solve with a Request (Method Optimal is the default).
-func (w *Workload) SolveOptimal(budget int64, opt SolveOptions) (*Schedule, error) {
-	return w.SolveOptimalCtx(context.Background(), budget, opt)
-}
-
-// SolveOptimalCtx is SolveOptimal with cancellation: when ctx is cancelled
-// the branch-and-bound search stops promptly and ctx.Err() is returned.
-//
-// Deprecated: use Solve with a Request (Method Optimal is the default).
-func (w *Workload) SolveOptimalCtx(ctx context.Context, budget int64, opt SolveOptions) (*Schedule, error) {
-	return Solve(ctx, Request{
-		Workload: w, Method: Optimal, Budget: budget,
-		TimeLimit: opt.TimeLimit, RelGap: opt.RelGap,
-		Unpartitioned: opt.Unpartitioned, Threads: opt.Threads,
-	})
-}
-
-// SolveApprox runs the two-phase LP rounding approximation (Section 5) with
-// the ε-search refinement of Appendix D.
-//
-// Deprecated: use Solve with Request.Method Approx.
-func (w *Workload) SolveApprox(budget int64) (*Schedule, error) {
-	return w.SolveApproxCtx(context.Background(), budget)
-}
-
-// SolveApproxCtx is SolveApprox with cancellation: the ε-search and its LP
-// relaxations stop promptly when ctx is cancelled, and the default 60 s
-// time limit bounds the search even on a background context.
-//
-// Deprecated: use Solve with Request.Method Approx; Request.TimeLimit
-// bounds the ε-search.
-func (w *Workload) SolveApproxCtx(ctx context.Context, budget int64) (*Schedule, error) {
-	return Solve(ctx, Request{Workload: w, Method: Approx, Budget: budget})
-}
-
 func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res *core.Result) (*Schedule, error) {
 	_, span := telemetry.StartSpan(ctx, "plan")
 	defer span.End()
@@ -567,7 +426,8 @@ func (w *Workload) finish(ctx context.Context, s *core.Sched, optimal bool, res 
 	return out, nil
 }
 
-// SweepPoint is one budget's outcome within SolveSweep.
+// SweepPoint is one budget's outcome within a sweep request
+// (Request.Budgets).
 type SweepPoint struct {
 	Budget int64
 	// Schedule is nil when the budget is infeasible or the solver hit its
@@ -575,36 +435,6 @@ type SweepPoint struct {
 	// ErrInfeasible/ErrSolveLimit sentinel.
 	Schedule *Schedule
 	Err      error
-}
-
-// SolveSweep solves the workload at several budgets — the paper's Figure 5
-// curve — warm-starting each solve from its neighbor: budgets are processed
-// in decreasing order, each MILP seeded with the previous point's root basis
-// (dual-simplex reoptimization instead of a cold solve) and the previous
-// schedule as incumbent. Points are returned aligned with budgets, which may
-// be in any order. Per-point infeasibility is recorded in the point, not
-// returned as an error; the error return covers whole-sweep failures
-// (cancellation, malformed instance).
-//
-// Deprecated: use Solve with Request.Budgets; each point arrives as a
-// SweepPoint event.
-func (w *Workload) SolveSweep(ctx context.Context, budgets []int64, opt SolveOptions) ([]SweepPoint, error) {
-	// Preserve the pre-Solve contract: an empty sweep is trivially complete,
-	// not a malformed request.
-	if len(budgets) == 0 {
-		return []SweepPoint{}, nil
-	}
-	req := Request{
-		Workload: w, Method: Optimal, Budgets: budgets,
-		TimeLimit: opt.TimeLimit, RelGap: opt.RelGap,
-		Unpartitioned: opt.Unpartitioned, Threads: opt.Threads,
-	}
-	_, points, err := w.solveSweepRequest(ctx, req, newEmitter(req))
-	// An all-infeasible sweep is a per-point outcome, not a sweep failure.
-	if err != nil && !errors.Is(err, ErrInfeasible) {
-		return nil, err
-	}
-	return points, nil
 }
 
 // BaselineTarget adapts the workload for package baselines.

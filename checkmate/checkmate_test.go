@@ -34,7 +34,7 @@ func TestEndToEndSmallModel(t *testing.T) {
 		t.Fatalf("degenerate workload: min %d >= peak %d", minB, peak)
 	}
 	budget := minB + (peak-minB)*2/3
-	sched, err := wl.SolveOptimal(budget, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0.05})
+	sched, err := Solve(context.Background(), Request{Workload: wl, Budget: budget, TimeLimit: 30 * time.Second, RelGap: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestApproxPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	peak := wl.CheckpointAllPeak()
-	sched, err := wl.SolveApprox(peak * 3 / 4)
+	sched, err := Solve(context.Background(), Request{Workload: wl, Method: Approx, Budget: peak * 3 / 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestInfeasibleBudgetErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wl.SolveOptimal(1, SolveOptions{TimeLimit: 10 * time.Second}); err == nil {
+	if _, err := Solve(context.Background(), Request{Workload: wl, Budget: 1, TimeLimit: 10 * time.Second}); err == nil {
 		t.Fatal("budget of 1 byte accepted")
 	}
 }
@@ -156,13 +156,22 @@ func TestSolveSweepMatchesPointSolves(t *testing.T) {
 		minB + (peak-minB)/2,
 		peak,
 	}
-	opt := SolveOptions{TimeLimit: 60 * time.Second}
-	points, err := wl.SolveSweep(context.Background(), budgets, opt)
-	if err != nil {
+	points := make([]*SweepPoint, len(budgets))
+	req := Request{
+		Workload: wl, Budgets: budgets, TimeLimit: 60 * time.Second,
+		Observer: ObserverFunc(func(e Event) {
+			if e.Kind == EventSweepPoint {
+				points[e.Index] = e.Point
+			}
+		}),
+	}
+	if _, err := Solve(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != len(budgets) {
-		t.Fatalf("got %d points for %d budgets", len(points), len(budgets))
+	for i, pt := range points {
+		if pt == nil {
+			t.Fatalf("no sweep point for budget %d", budgets[i])
+		}
 	}
 	if points[0].Err == nil || !errors.Is(points[0].Err, ErrInfeasible) {
 		t.Fatalf("sub-minimum budget: want ErrInfeasible, got %v", points[0].Err)
@@ -172,7 +181,7 @@ func TestSolveSweepMatchesPointSolves(t *testing.T) {
 		if pt.Err != nil || pt.Schedule == nil {
 			t.Fatalf("budget %d: %v", pt.Budget, pt.Err)
 		}
-		solo, err := wl.SolveOptimal(pt.Budget, opt)
+		solo, err := Solve(context.Background(), Request{Workload: wl, Budget: pt.Budget, TimeLimit: req.TimeLimit})
 		if err != nil {
 			t.Fatalf("budget %d solo: %v", pt.Budget, err)
 		}

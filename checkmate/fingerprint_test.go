@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 func TestWorkloadFingerprint(t *testing.T) {
@@ -28,27 +30,35 @@ func TestWorkloadFingerprint(t *testing.T) {
 	}
 }
 
-func TestSolveKey(t *testing.T) {
+func TestRequestKey(t *testing.T) {
 	wl, err := Load("mobilenet", Options{Batch: 2, CoarseSegments: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SolveOptions{TimeLimit: time.Minute}
-	base := wl.SolveKey(1<<30, opt, false)
-	if base != wl.SolveKey(1<<30, opt, false) {
-		t.Fatalf("SolveKey not deterministic")
+	req := Request{Workload: wl, Budget: 1 << 30, TimeLimit: time.Minute}
+	base := req.Key()
+	if base != req.Key() {
+		t.Fatalf("Key not deterministic")
 	}
-	if base == wl.SolveKey(1<<31, opt, false) {
+	with := func(edit func(*Request)) graph.Fingerprint {
+		r := req
+		edit(&r)
+		return r.Key()
+	}
+	if base == with(func(r *Request) { r.Budget = 1 << 31 }) {
 		t.Fatalf("budget not part of the key")
 	}
-	if base == wl.SolveKey(1<<30, opt, true) {
+	if base == with(func(r *Request) { r.Method = Approx }) {
 		t.Fatalf("solver kind not part of the key")
 	}
-	if base == wl.SolveKey(1<<30, SolveOptions{TimeLimit: time.Minute, RelGap: 0.05}, false) {
+	if base == with(func(r *Request) { r.RelGap = 0.05 }) {
 		t.Fatalf("RelGap not part of the key")
 	}
+	if base != with(func(r *Request) { r.Method = Optimal }) {
+		t.Fatalf("the default method and explicit Optimal key differently")
+	}
 	if base == wl.Fingerprint() {
-		t.Fatalf("SolveKey must differ from the bare workload fingerprint")
+		t.Fatalf("Key must differ from the bare workload fingerprint")
 	}
 }
 
@@ -59,10 +69,9 @@ func TestSolveCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := wl.SolveOptimalCtx(ctx, 1<<30, SolveOptions{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveOptimalCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := wl.SolveApproxCtx(ctx, 1<<30); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveApproxCtx err = %v, want context.Canceled", err)
+	for _, m := range []Method{Optimal, Approx} {
+		if _, err := Solve(ctx, Request{Workload: wl, Method: m, Budget: 1 << 30}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: Solve err = %v, want context.Canceled", m, err)
+		}
 	}
 }

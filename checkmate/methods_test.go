@@ -78,27 +78,30 @@ func TestAutoResolve(t *testing.T) {
 // keys. Two replicas of the planning service must route one request to one
 // cache entry.
 func TestAutoSolveKeyRouting(t *testing.T) {
-	opt := SolveOptions{TimeLimit: 30 * time.Second}
 	for _, n := range []int{AutoMethodThreshold / 2, AutoMethodThreshold + 8} {
 		wl := chainWorkload(t, n)
-		budget := wl.MinBudget() + 2
-		auto := wl.SolveKeyFor(Auto, budget, opt)
-		resolved := Request{Workload: wl, Method: Auto, Budget: budget}.Resolve()
-		if got := wl.SolveKeyFor(resolved, budget, opt); got != auto {
-			t.Fatalf("n=%d: Auto key %s != resolved %q key %s", n, auto, resolved, got)
+		req := Request{Workload: wl, Method: Auto, Budget: wl.MinBudget() + 2, TimeLimit: 30 * time.Second}
+		auto := req.Key()
+		resolved := req
+		resolved.Method = req.Resolve()
+		if got := resolved.Key(); got != auto {
+			t.Fatalf("n=%d: Auto key %s != resolved %q key %s", n, auto, resolved.Method, got)
 		}
 		// A fresh workload built from the same graph is what another process
 		// sees; the digest must not depend on construction order or identity.
-		rebuilt := chainWorkload(t, n)
-		if got := rebuilt.SolveKeyFor(Auto, budget, opt); got != auto {
+		rebuilt := req
+		rebuilt.Workload = chainWorkload(t, n)
+		if got := rebuilt.Key(); got != auto {
 			t.Fatalf("n=%d: rebuilt workload keyed %s, want %s", n, got, auto)
 		}
 	}
 	// Interval keys are method-distinct: the interval space is a restriction
 	// of the MILP's, so its schedules must never be served under exact keys.
 	wl := chainWorkload(t, 12)
-	budget := wl.MinBudget() + 2
-	if wl.SolveKeyFor(Interval, budget, opt) == wl.SolveKeyFor(Optimal, budget, opt) {
+	req := Request{Workload: wl, Method: Interval, Budget: wl.MinBudget() + 2, TimeLimit: 30 * time.Second}
+	exact := req
+	exact.Method = Optimal
+	if req.Key() == exact.Key() {
 		t.Fatal("interval and optimal share a cache key")
 	}
 }

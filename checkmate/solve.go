@@ -288,31 +288,95 @@ func (r Request) options() SolveOptions {
 	return opt
 }
 
+// defaultBaseline is the heuristic Method Baseline (and the anytime
+// ladder's last rung) runs when Request.Baseline is empty.
+const defaultBaseline = "checkpoint-all"
+
+// baseline returns the heuristic the request names, or the default.
+func (r Request) baseline() string {
+	if r.Baseline == "" {
+		return defaultBaseline
+	}
+	return r.Baseline
+}
+
 // Key returns the complete schedule-cache key of a single-budget request:
-// the workload fingerprint extended with the budget and every option that
-// can change the resulting schedule. Two requests with equal keys produce
-// interchangeable schedules.
+// the workload's graph and overhead extended with the budget, the resolved
+// method, and every option that can change the resulting schedule. Two
+// requests with equal keys produce interchangeable schedules. It is the one
+// cache key of the system: the planning service keys its memory cache,
+// persistent store, single-flight pool and fleet routing on it.
+//
+// The digests are the on-disk key format and must not move. Optimal and
+// Approx share the "solve/v1" domain, told apart by a flag. Interval and
+// Anytime live in their own domains: the interval solver can legitimately
+// return a different — still budget-feasible — schedule than the MILP, and
+// the ladder may serve a schedule from any rung. A heuristic schedule must
+// never collide with the optimal one for the same workload and budget, nor
+// distinct heuristics with each other, so Baseline wraps the solve/v1 digest
+// with the heuristic's name in "baseline/v1". Auto keys as the method it
+// resolves to, so routing and keys agree across processes.
 func (r Request) Key() graph.Fingerprint {
-	method := r.Resolve()
-	key := r.Workload.SolveKeyFor(method, r.Budget, r.options())
-	// A heuristic schedule must never collide with the optimal (or approx)
-	// one for the same workload/budget, and distinct heuristics must not
-	// collide with each other. The anytime ladder's last rung runs the
-	// named baseline, so the name is part of its key too (the inner keys
-	// already live in distinct digest domains, so baseline and anytime
-	// extensions cannot collide with each other).
-	if method != Baseline && method != Anytime {
-		return key
-	}
-	name := r.Baseline
-	if name == "" {
-		name = "checkpoint-all"
-	}
+	w, opt, method := r.Workload, r.options(), r.Resolve()
 	d := graph.NewDigest()
-	d.String("baseline/v1")
-	d.String(key.String())
-	d.String(name)
-	return d.Sum()
+	switch method {
+	case Interval:
+		d.String("interval/v1")
+	case Anytime:
+		d.String("anytime/v1")
+	default:
+		d.String("solve/v1")
+	}
+	w.Graph.WriteDigest(d)
+	d.Int64(w.Overhead)
+	d.Int64(r.Budget)
+	switch method {
+	case Interval:
+		// Both knobs bound the interval search and change which incumbent
+		// it returns, exactly like the optimal path.
+		d.Int64(int64(opt.TimeLimit))
+		d.Float64(opt.RelGap)
+		return d.Sum()
+	case Anytime:
+		// The deadline shapes the ladder's slices — and thereby which rung
+		// serves — so it is as much a part of the result's identity as the
+		// solver knobs the rungs inherit, and so is the last rung's
+		// heuristic. The default heuristic is not digested, keeping keys
+		// from older stores valid.
+		d.Int64(int64(opt.TimeLimit))
+		d.Float64(opt.RelGap)
+		if opt.Threads > 1 {
+			d.Int64(int64(opt.Threads))
+		}
+		if name := r.baseline(); name != defaultBaseline {
+			d.String(name)
+		}
+		return d.Sum()
+	}
+	approximate := method == Approx
+	d.Bool(approximate)
+	// TimeLimit is part of the key for every method: it bounds the optimal
+	// search directly and the approximation via context timeout, so requests
+	// with different limits may legitimately produce different schedules.
+	d.Int64(int64(opt.TimeLimit))
+	if !approximate {
+		d.Float64(opt.RelGap)
+		d.Bool(opt.Unpartitioned)
+		// Parallel search may return a different (equally optimal) schedule
+		// among cost ties, so Threads is part of the key. Serial solves (0
+		// or 1) are not digested, keeping keys from older stores valid.
+		if opt.Threads > 1 {
+			d.Int64(int64(opt.Threads))
+		}
+	}
+	if method != Baseline {
+		return d.Sum()
+	}
+	b := graph.NewDigest()
+	b.String("baseline/v1")
+	b.String(d.Sum().String())
+	b.String(r.baseline())
+	return b.Sum()
 }
 
 // Solve is the single context-first entry point of the public API: it
@@ -330,9 +394,6 @@ func (r Request) Key() graph.Fingerprint {
 // feasible budget's, and ErrInfeasible is returned when no budget was
 // feasible. Per-point infeasibility is reported in the points, never as
 // the error.
-//
-// The deprecated SolveOptimal/SolveApprox/SolveSweep entry points are thin
-// wrappers over this function.
 func Solve(ctx context.Context, req Request) (*Schedule, error) {
 	w := req.Workload
 	if w == nil {
@@ -356,17 +417,7 @@ func Solve(ctx context.Context, req Request) (*Schedule, error) {
 		if method != Optimal {
 			err = fmt.Errorf("checkmate: sweep requests (Request.Budgets) require Method %q, got %q", Optimal, method)
 		} else {
-			var points []SweepPoint
-			sched, points, err = w.solveSweepRequest(ctx, req, em)
-			// The terminal Done must name the budget of the schedule it
-			// carries — the smallest feasible point's — not whichever point
-			// happened to solve last.
-			for i := range points {
-				if sched != nil && points[i].Schedule == sched {
-					doneBudget = points[i].Budget
-					break
-				}
-			}
+			sched, doneBudget, err = w.solveSweepRequest(ctx, req, em)
 		}
 	case req.Budget <= 0:
 		err = fmt.Errorf("checkmate: Request.Budget must be positive, got %d", req.Budget)
@@ -532,10 +583,7 @@ func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *em
 	if err != nil {
 		return nil, err
 	}
-	name := req.Baseline
-	if name == "" {
-		name = "checkpoint-all"
-	}
+	name := req.baseline()
 	em.started(req.Budget, 0, 0)
 	var pts []baselines.Point
 	switch name {
@@ -596,10 +644,10 @@ func baselineCtxErr(err error) error {
 
 // solveSweepRequest solves every budget of a sweep request warm-started,
 // emitting a SweepPoint event per completed budget, and returns the
-// schedule of the smallest feasible budget along with every point (aligned
-// with req.Budgets — the deprecated SolveSweep wrapper consumes the slice
-// directly, without round-tripping it through the event machinery).
-func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitter) (*Schedule, []SweepPoint, error) {
+// schedule of the smallest feasible budget with that budget — the terminal
+// Done must name the budget of the schedule it carries, not whichever point
+// happened to solve last. On error the budget is req.Budget.
+func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitter) (*Schedule, int64, error) {
 	opt := req.options()
 	points := make([]SweepPoint, len(req.Budgets))
 	var finishErr error
@@ -629,10 +677,10 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 		Progress:      hooks,
 	})
 	if err != nil {
-		return nil, points, err
+		return nil, req.Budget, err
 	}
 	if finishErr != nil {
-		return nil, points, finishErr
+		return nil, req.Budget, finishErr
 	}
 	// The sweep's headline result: the tightest budget that still admits a
 	// schedule.
@@ -643,10 +691,10 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 	sort.Slice(order, func(a, b int) bool { return points[order[a]].Budget < points[order[b]].Budget })
 	for _, i := range order {
 		if points[i].Schedule != nil {
-			return points[i].Schedule, points, nil
+			return points[i].Schedule, points[i].Budget, nil
 		}
 	}
-	return nil, points, fmt.Errorf("%w: no feasible budget among %d sweep points", ErrInfeasible, len(points))
+	return nil, req.Budget, fmt.Errorf("%w: no feasible budget among %d sweep points", ErrInfeasible, len(points))
 }
 
 // isPointError reports whether err is a per-point outcome (infeasible or

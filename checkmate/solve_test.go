@@ -108,26 +108,6 @@ func TestSolveEventOrdering(t *testing.T) {
 	}
 }
 
-// TestSolveMatchesDeprecatedWrappers: the unified entry point and the old
-// wrappers must agree — they are the same solve.
-func TestSolveMatchesDeprecatedWrappers(t *testing.T) {
-	wl := loadTest(t, 8)
-	budget := tightBudget(wl)
-	opt := SolveOptions{TimeLimit: 30 * time.Second}
-	unified, err := Solve(context.Background(), Request{Workload: wl, Budget: budget, TimeLimit: opt.TimeLimit})
-	if err != nil {
-		t.Fatal(err)
-	}
-	//lint:ignore SA1019 the wrapper must keep agreeing with Solve
-	wrapped, err := wl.SolveOptimal(budget, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(unified.Cost-wrapped.Cost) > 1e-6*(1+unified.Cost) {
-		t.Fatalf("Solve cost %v != SolveOptimal cost %v", unified.Cost, wrapped.Cost)
-	}
-}
-
 func TestSolveApproxHonorsTimeLimit(t *testing.T) {
 	wl := loadTest(t, 10)
 	start := time.Now()
@@ -319,15 +299,5 @@ func TestRequestKeyDistinguishesMethods(t *testing.T) {
 	explicit := Request{Workload: wl, Budget: budget, Method: Baseline, Baseline: "checkpoint-all"}.Key().String()
 	if explicit != keys["baseline"] {
 		t.Fatalf("default baseline key %s != explicit checkpoint-all key %s", keys["baseline"], explicit)
-	}
-}
-
-// TestSolveSweepEmptyBudgets pins the deprecated wrapper's compatibility
-// contract: an empty sweep returns empty points, not an error.
-func TestSolveSweepEmptyBudgets(t *testing.T) {
-	wl := loadTest(t, 8)
-	points, err := wl.SolveSweep(context.Background(), nil, SolveOptions{})
-	if err != nil || len(points) != 0 {
-		t.Fatalf("empty sweep: points=%v err=%v", points, err)
 	}
 }

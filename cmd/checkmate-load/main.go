@@ -66,7 +66,7 @@ func main() {
 
 	// The key space is derived locally from the same zoo workload the
 	// service will build: distinct budgets across the schedulable range are
-	// distinct SolveKeys, so a fleet spreads them across owners by
+	// distinct solve keys, so a fleet spreads them across owners by
 	// rendezvous hash exactly as real traffic would.
 	wl, err := checkmate.Load(*model, checkmate.Options{
 		Batch: *batch, Device: *device, CoarseSegments: *segments,

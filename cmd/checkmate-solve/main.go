@@ -6,7 +6,7 @@
 // Example:
 //
 //	checkmate-solve -model unet -batch 4 -budget 16GiB -segments 12
-//	checkmate-solve -model vgg16 -batch 16 -budget 0.8 -approx -plan
+//	checkmate-solve -model vgg16 -batch 16 -budget 0.8 -method approx -plan
 //
 // A fractional -budget (0 < b ≤ 1) is interpreted as a fraction of the
 // checkpoint-all peak.
@@ -42,7 +42,6 @@ func main() {
 		device   = flag.String("device", "v100", "cost model device: v100, tpu, cpu")
 		flops    = flag.Bool("flops", false, "use static FLOP costs instead of the roofline model")
 		methodFl = flag.String("method", "", "solver method ("+strings.Join(checkmate.MethodNames(), ", ")+"); empty = optimal")
-		useApx   = flag.Bool("approx", false, "deprecated: same as -method approx")
 		limit    = flag.Duration("timelimit", 60*time.Second, "ILP time limit")
 		gap      = flag.Float64("gap", 0.01, "accepted relative optimality gap")
 		threads  = flag.Int("threads", 1, "parallel branch-and-bound workers (1 = serial)")
@@ -82,9 +81,6 @@ func main() {
 		fmtBytes(peak), fmtBytes(minB), fmtBytes(bud))
 
 	method := checkmate.Method(*methodFl)
-	if method == "" && *useApx {
-		method = checkmate.Approx
-	}
 	if !checkmate.ValidMethod(method) {
 		fatal(fmt.Errorf("unknown method %q (valid: %s)", method, strings.Join(checkmate.MethodNames(), ", ")))
 	}

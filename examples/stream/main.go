@@ -78,7 +78,7 @@ func main() {
 		sched.Overhead(), gib(sched.PeakBytes), sched.Optimal)
 
 	// 2. Service-level streaming: the same anytime trajectory as SSE frames
-	// over GET /v1/solve/stream. Concurrent watchers of one SolveKey share a
+	// over GET /v1/solve/stream. Concurrent watchers of one solve key share a
 	// single in-flight solve; a dropped connection resumes via Last-Event-ID.
 	srv, err := service.New(service.Config{Workers: 2, DefaultTimeLimit: 30 * time.Second})
 	if err != nil {

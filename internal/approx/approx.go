@@ -85,17 +85,9 @@ type SearchStats struct {
 	DualIters    int64
 }
 
-// Solve runs two-phase rounding once at the configured ε.
-//
-// Deprecated: use SolveCtx. This wrapper cannot be cancelled — it mints its
-// own background context — so a caller with a deadline or a request context
-// gets neither.
-func Solve(inst core.Instance, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), inst, opt)
-}
-
-// SolveCtx is Solve with cancellation: the underlying LP relaxation stops
-// promptly when ctx is cancelled and ctx.Err() is returned.
+// SolveCtx runs two-phase rounding once at the configured ε. The underlying
+// LP relaxation stops promptly when ctx is cancelled and ctx.Err() is
+// returned.
 func SolveCtx(ctx context.Context, inst core.Instance, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	r, _, err := solveAtEps(ctx, inst, opt, opt.Epsilon, nil, nil)
@@ -134,18 +126,10 @@ func solveAtEps(ctx context.Context, inst core.Instance, opt Options, eps float6
 	return finish(inst, s, rel.Obj), rel.Basis, nil
 }
 
-// SolveWithSearch sweeps ε over [0, 0.5] and returns the cheapest schedule
-// feasible at the true budget (the refinement suggested in Appendix D).
-//
-// Deprecated: use SolveWithSearchCtx. This wrapper cannot be cancelled — it
-// mints its own background context — so a caller with a deadline or a
-// request context gets neither.
-func SolveWithSearch(inst core.Instance, opt Options) (*Result, error) {
-	return SolveWithSearchCtx(context.Background(), inst, opt)
-}
-
-// SolveWithSearchCtx is SolveWithSearch with cancellation: the ε sweep stops
-// between (and inside) LP solves once ctx is cancelled.
+// SolveWithSearchCtx sweeps ε over [0, 0.5] and returns the cheapest
+// schedule feasible at the true budget (the refinement suggested in
+// Appendix D). The ε sweep stops between (and inside) LP solves once ctx is
+// cancelled.
 //
 // The ε points run in increasing order — decreasing deflated budget — and
 // each LP warm-starts from the previous point's optimal basis: the ε LPs

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -81,7 +82,7 @@ func TestSolveMinRWithFullCheckpoints(t *testing.T) {
 func TestBuildStatsAndSolveUnlimitedBudget(t *testing.T) {
 	g := chain(5, 2, 10)
 	inst := Instance{G: g, Budget: 1 << 40, Overhead: 0}
-	res, err := SolveILP(inst, SolveOptions{})
+	res, err := SolveILPCtx(context.Background(), inst, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestSolveILPTightBudgetChain(t *testing.T) {
 	// rematerialization. Verify optimality against brute force.
 	g := chain(6, 1, 1)
 	inst := Instance{G: g, Budget: 3, Overhead: 0}
-	res, err := SolveILP(inst, SolveOptions{})
+	res, err := SolveILPCtx(context.Background(), inst, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSolveILPInfeasibleBudget(t *testing.T) {
 	g := chain(4, 1, 10)
 	// Budget below a single node + dependency: infeasible.
 	inst := Instance{G: g, Budget: 15, Overhead: 0}
-	res, err := SolveILP(inst, SolveOptions{})
+	res, err := SolveILPCtx(context.Background(), inst, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,11 @@ func TestSolveILPInfeasibleBudget(t *testing.T) {
 func TestSolveILPRespectsOverhead(t *testing.T) {
 	g := chain(4, 1, 1)
 	// Budget 4 with overhead 2 behaves like budget 2 without.
-	withOv, err := SolveILP(Instance{G: g, Budget: 4, Overhead: 2}, SolveOptions{})
+	withOv, err := SolveILPCtx(context.Background(), Instance{G: g, Budget: 4, Overhead: 2}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noOv, err := SolveILP(Instance{G: g, Budget: 2, Overhead: 0}, SolveOptions{})
+	noOv, err := SolveILPCtx(context.Background(), Instance{G: g, Budget: 2, Overhead: 0}, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestBruteForceAgreesOnRandomTinyGraphs(t *testing.T) {
 		}
 		maxPeak := CheckpointAll(g).Peak(g, 0)
 		budget := int64(MinBudgetLowerBound(g, 0)) + rng.Int63n(int64(maxPeak))
-		res, err := SolveILP(Instance{G: g, Budget: budget, Overhead: 0}, SolveOptions{})
+		res, err := SolveILPCtx(context.Background(), Instance{G: g, Budget: budget, Overhead: 0}, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,11 +249,11 @@ func TestBruteForceAgreesOnRandomTinyGraphs(t *testing.T) {
 func TestRelaxationLowerBounds(t *testing.T) {
 	g := chain(6, 1, 1)
 	inst := Instance{G: g, Budget: 3, Overhead: 0}
-	_, lb, err := SolveRelaxation(inst, false)
+	_, lb, err := SolveRelaxationCtx(context.Background(), inst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := SolveILP(inst, SolveOptions{})
+	res, err := SolveILPCtx(context.Background(), inst, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestRelaxationLowerBounds(t *testing.T) {
 func TestTwoPhaseRoundFeasibility(t *testing.T) {
 	g := chain(6, 1, 1)
 	inst := Instance{G: g, Budget: 4, Overhead: 0}
-	fs, _, err := SolveRelaxation(inst, false)
+	fs, _, err := SolveRelaxationCtx(context.Background(), inst, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,11 +286,11 @@ func TestUnpartitionedMatchesPartitionedOptimum(t *testing.T) {
 	// (Section 4.6 reports identical objectives, different solve times).
 	g := chain(4, 1, 1)
 	inst := Instance{G: g, Budget: 2, Overhead: 0}
-	part, err := SolveILP(inst, SolveOptions{})
+	part, err := SolveILPCtx(context.Background(), inst, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unpart, err := SolveILP(inst, SolveOptions{Unpartitioned: true})
+	unpart, err := SolveILPCtx(context.Background(), inst, SolveOptions{Unpartitioned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +320,7 @@ func TestSolveILPInvariantsProperty(t *testing.T) {
 			}
 		}
 		budget := MinBudgetLowerBound(g, 0) + rng.Int63n(10)
-		res, err := SolveILP(Instance{G: g, Budget: budget}, SolveOptions{})
+		res, err := SolveILPCtx(context.Background(), Instance{G: g, Budget: budget}, SolveOptions{})
 		if err != nil {
 			return false
 		}

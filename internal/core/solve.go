@@ -101,20 +101,12 @@ type Result struct {
 	SolveTime time.Duration
 }
 
-// SolveILP builds and optimizes the complete MILP (9) for the instance,
+// SolveILPCtx builds and optimizes the complete MILP (9) for the instance,
 // returning the best schedule found. A feasible result is returned even when
 // optimality was not proven within the limits (Status reports which).
 //
-// Deprecated: use SolveILPCtx. This wrapper cannot be cancelled — it mints
-// its own background context — so a caller with a deadline or a request
-// context gets neither.
-func SolveILP(inst Instance, opt SolveOptions) (*Result, error) {
-	return SolveILPCtx(context.Background(), inst, opt)
-}
-
-// SolveILPCtx is SolveILP with cancellation: when ctx is cancelled the
-// branch-and-bound search (and any in-flight simplex solve) stops promptly
-// and ctx.Err() is returned. Long-lived callers — the planning service — use
+// When ctx is cancelled the branch-and-bound search (and any in-flight
+// simplex solve) stops promptly and ctx.Err() is returned. Long-lived callers — the planning service — use
 // this to bound per-request solve time and to abandon solves whose clients
 // have gone away.
 func SolveILPCtx(ctx context.Context, inst Instance, opt SolveOptions) (*Result, error) {
@@ -254,19 +246,10 @@ func SweepILP(ctx context.Context, inst Instance, budgets []int64, opt SolveOpti
 	return results, nil
 }
 
-// SolveRelaxation solves the LP relaxation of problem (9) (Section 5.1),
+// SolveRelaxationCtx solves the LP relaxation of problem (9) (Section 5.1),
 // returning the fractional matrices and the relaxation objective in cost
-// units — a lower bound on the optimal integral cost.
-//
-// Deprecated: use SolveRelaxationCtx. This wrapper cannot be cancelled — it
-// mints its own background context — so a caller with a deadline or a
-// request context gets neither.
-func SolveRelaxation(inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
-	return SolveRelaxationCtx(context.Background(), inst, unpartitioned)
-}
-
-// SolveRelaxationCtx is SolveRelaxation with cancellation; when ctx is
-// cancelled mid-solve the simplex stops and ctx.Err() is returned.
+// units — a lower bound on the optimal integral cost. When ctx is cancelled
+// mid-solve the simplex stops and ctx.Err() is returned.
 func SolveRelaxationCtx(ctx context.Context, inst Instance, unpartitioned bool) (*FractionalSched, float64, error) {
 	r, err := SolveRelaxationChained(ctx, inst, unpartitioned, nil)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -71,7 +72,7 @@ func TestRematerializedExecutionBitIdentical(t *testing.T) {
 	// low enough to force rematerialization, high enough to be feasible.
 	minB := core.MinBudgetLowerBound(m.G, m.Overhead)
 	budget := minB + (int64(basePeak)-minB)/4
-	res, err := core.SolveILP(core.Instance{G: m.G, Budget: budget, Overhead: m.Overhead}, core.SolveOptions{})
+	res, err := core.SolveILPCtx(context.Background(), core.Instance{G: m.G, Budget: budget, Overhead: m.Overhead}, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package interval
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,11 +54,11 @@ func TestIntervalMatchesMILPOptimum(t *testing.T) {
 	exact, feasible := 0, 0
 	for seed := int64(0); seed < seeds; seed++ {
 		inst := randomInstance(seed)
-		milpRes, err := core.SolveILP(inst, core.SolveOptions{})
+		milpRes, err := core.SolveILPCtx(context.Background(), inst, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: milp: %v", seed, err)
 		}
-		ivRes, err := Solve(inst, Options{})
+		ivRes, err := SolveCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: interval: %v", seed, err)
 		}
@@ -137,11 +138,11 @@ func TestIntervalTrainingGraphs(t *testing.T) {
 	}
 	for seed := int64(0); seed < seeds; seed++ {
 		inst := trainInstance(seed)
-		milpRes, err := core.SolveILP(inst, core.SolveOptions{})
+		milpRes, err := core.SolveILPCtx(context.Background(), inst, core.SolveOptions{})
 		if err != nil {
 			t.Fatalf("seed %d: milp: %v", seed, err)
 		}
-		ivRes, err := Solve(inst, Options{})
+		ivRes, err := SolveCtx(context.Background(), inst, Options{})
 		if err != nil {
 			t.Fatalf("seed %d: interval: %v", seed, err)
 		}
@@ -170,11 +171,11 @@ func TestIntervalTrainingGraphs(t *testing.T) {
 // fingerprint-keyed schedule caching.
 func TestIntervalDeterministic(t *testing.T) {
 	inst := randomInstance(7)
-	a, err := Solve(inst, Options{})
+	a, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(inst, Options{})
+	b, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +196,7 @@ func TestIntervalDeterministic(t *testing.T) {
 func TestIntervalUnlimitedBudget(t *testing.T) {
 	inst := randomInstance(3)
 	inst.Budget = 1 << 40
-	res, err := Solve(inst, Options{})
+	res, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestIntervalUnlimitedBudget(t *testing.T) {
 func TestIntervalInfeasible(t *testing.T) {
 	inst := randomInstance(5)
 	inst.Budget = 1 // below MinBudgetLowerBound for every seed family
-	res, err := Solve(inst, Options{})
+	res, err := SolveCtx(context.Background(), inst, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestIntervalProgressHooks(t *testing.T) {
 	starts := 0
 	lastObj := math.Inf(1)
 	lastBound := math.Inf(-1)
-	res, err := Solve(inst, Options{
+	res, err := SolveCtx(context.Background(), inst, Options{
 		OnStart: func(vars, rows int) {
 			starts++
 			if vars <= 0 {
@@ -266,7 +267,7 @@ func TestIntervalProgressHooks(t *testing.T) {
 func TestIntervalTimeLimit(t *testing.T) {
 	inst := randomInstance(2)
 	start := time.Now()
-	res, err := Solve(inst, Options{TimeLimit: time.Nanosecond})
+	res, err := SolveCtx(context.Background(), inst, Options{TimeLimit: time.Nanosecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,6 @@ func (h *nodeHeap) Push(x any)        { *h = append(*h, x.(*node)) }
 func (h *nodeHeap) Pop() any          { old := *h; n := old[len(old)-1]; *h = old[:len(old)-1]; return n }
 func (h nodeHeap) peekBound() float64 { return h[0].prio }
 
-// Solve runs the interval solver without cancellation.
-//
-// Deprecated: use SolveCtx. This wrapper cannot be cancelled — it mints its
-// own background context — so a caller with a deadline or a request context
-// gets neither.
-func Solve(inst core.Instance, opt Options) (*Result, error) {
-	return SolveCtx(context.Background(), inst, opt)
-}
-
 // SolveCtx compiles the instance into retention windows, tightens their
 // start domains by constraint propagation, and searches best-first with
 // LP-relaxation bounds. The error return covers context cancellation and

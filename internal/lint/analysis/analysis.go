@@ -146,14 +146,3 @@ func PathHasSegments(path string, segs ...string) bool {
 	}
 	return false
 }
-
-// IsDeprecatedDoc reports whether a doc comment carries the standard
-// "Deprecated:" marker (a line starting with it).
-func IsDeprecatedDoc(doc string) bool {
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}

@@ -28,11 +28,12 @@ func lineLevelDetach() error {
 	return ctx.Err()
 }
 
-// OldSolve is the pre-context compatibility wrapper.
+// OldSolve is a pre-context compatibility wrapper: its deprecation does not
+// excuse the root context it mints.
 //
 // Deprecated: use OldSolveCtx.
 func OldSolve() error {
-	return OldSolveCtx(context.Background())
+	return OldSolveCtx(context.Background()) // want "context root minted outside main"
 }
 
 // OldSolveCtx is OldSolve with cancellation.

@@ -1,9 +1,10 @@
 // Package lint assembles the checkmate-lint analyzer suite: project-specific
 // analyzers that machine-check invariants the codebase relies on (context
 // propagation, goroutine panic containment, closed metric-label vocabularies,
-// deprecation bans, structured logging, float-comparison hygiene) plus
-// general vet-style passes (lostcancel, copylocks, nilcheck) that `go vet`
-// does not fully cover here. See docs/lint.md for the catalogue.
+// deprecation bans, structured logging, float-comparison hygiene) plus one
+// vet-style pass (nilcheck) that `go vet` does not ship. The standard vet
+// passes — lostcancel and copylocks among them — run through `go vet`
+// itself. See docs/lint.md for the catalogue.
 package lint
 
 import (
@@ -11,12 +12,10 @@ import (
 	"sort"
 
 	"repro/internal/lint/analysis"
-	"repro/internal/lint/copylocks"
 	"repro/internal/lint/ctxpropagate"
 	"repro/internal/lint/floateq"
 	"repro/internal/lint/gorecover"
 	"repro/internal/lint/load"
-	"repro/internal/lint/lostcancel"
 	"repro/internal/lint/metriclabels"
 	"repro/internal/lint/nilcheck"
 	"repro/internal/lint/nodeprecated"
@@ -32,8 +31,6 @@ func All() []*analysis.Analyzer {
 		nodeprecated.Analyzer,
 		structuredlog.Analyzer,
 		floateq.Analyzer,
-		lostcancel.Analyzer,
-		copylocks.Analyzer,
 		nilcheck.Analyzer,
 	}
 }

@@ -1,8 +1,6 @@
 // Package nodeprecated bans deprecated entry points from first-party
-// callers. The pre-Solve wrappers (SolveOptimal*, SolveApprox*, SolveSweep),
-// the api.Solver* wire constants, and the internal pre-context solver
-// wrappers are kept for compatibility, but new code in cmd/, examples/, and
-// internal/service must use checkmate.Solve(ctx, Request) and the method
+// callers. The api.Solver* wire constants are kept for compatibility, but
+// new code in cmd/, examples/, and internal/service must use the method
 // field. This replaces the old CI grep guard with a type-resolved check that
 // formatting tricks cannot fool: any reference to an object whose doc
 // comment carries the standard "Deprecated:" marker is flagged.

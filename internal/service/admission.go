@@ -4,7 +4,7 @@ import "sync"
 
 // costCalibrator turns raw solve-cost estimates into calibrated admission
 // costs by tracking an exponentially-weighted moving average of the
-// actual-over-estimate ratio. The estimator (checkmate.EstimateSolveCost)
+// actual-over-estimate ratio. The estimator (checkmate.EstimateSolveCostFor)
 // promises relative ordering, not absolute scale; the calibrator learns the
 // scale online from observed solve times, so admission limits expressed in
 // "roughly milliseconds of solver work" stay meaningful across machines and

@@ -4,7 +4,7 @@
 //
 // Checkmate's economics (paper Figure 2) are solve-once, serve-forever: a
 // schedule costs minutes of MILP time and amortizes over millions of
-// training iterations. A fleet shares that one-time cost — each SolveKey is
+// training iterations. A fleet shares that one-time cost — each solve key is
 // rendezvous-hashed to exactly one owner, so the fleet-wide single-flight
 // property holds: no two peers burn MILP time on the same instance, and the
 // owner's cache and warm-start state concentrate instead of fragmenting.

@@ -106,7 +106,7 @@ func transientStatus(status int) bool {
 
 // attemptHedged races a primary request against a hedged duplicate launched
 // after the peer's EWMA-p99 delay. The duplicate is safe: the owner's pool
-// single-flights identical SolveKeys, so the second request joins the first
+// single-flights identical solve keys, so the second request joins the first
 // solve rather than doubling work. First definitive outcome wins; the loser
 // is cancelled via the shared context.
 func (f *Fleet) attemptHedged(ctx context.Context, p *peer, path string, body []byte, reqID string, timeout time.Duration) (*ForwardResult, error) {

@@ -124,7 +124,7 @@ func solveAt(node *fleetNode, req api.SolveRequest) (*api.SolveResponse, error) 
 	return &out, nil
 }
 
-// budgetOwnedBy searches chain-graph budgets for one whose SolveKey the
+// budgetOwnedBy searches chain-graph budgets for one whose solve key the
 // rendezvous hash assigns to nodes[want]. Ownership is a pure function of
 // (member URLs, key), so the test computes it exactly the way the fleet does.
 func budgetOwnedBy(t *testing.T, nodes []*fleetNode, spec *api.GraphSpec, want int) int64 {
@@ -139,11 +139,12 @@ func budgetOwnedBy(t *testing.T, nodes []*fleetNode, spec *api.GraphSpec, want i
 		t.Fatal(err)
 	}
 	for budget := int64(6); budget < int64(len(spec.Nodes)); budget++ {
-		p, err := srv.solveParamsFrom(string(checkmate.Auto), budget, 0, 0)
+		creq, err := srv.solveRequest(string(checkmate.Auto), budget, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := wl.SolveKeyFor(p.method, p.budget, p.opt).String()
+		creq.Workload = wl
+		key := creq.Key().String()
 		if fleet.OwnerOf(urls, key) == nodes[want].url {
 			return budget
 		}
@@ -168,7 +169,7 @@ func waitUnhealthy(t *testing.T, node *fleetNode, want int) {
 	t.Fatalf("fleet unhealthy count never reached %d; stats: %+v", want, st.Fleet)
 }
 
-// TestFleetDeterministicRouting: every entry point routes one SolveKey to
+// TestFleetDeterministicRouting: every entry point routes one solve key to
 // the same rendezvous owner, so the fleet solves it exactly once no matter
 // which member the client happened to dial.
 func TestFleetDeterministicRouting(t *testing.T) {

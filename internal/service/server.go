@@ -107,7 +107,7 @@ type Config struct {
 	MaxGraphNodes int
 	// FleetSelf and FleetPeers enable fleet mode: Self is this process's
 	// advertised base URL, Peers lists every fleet member (self included or
-	// not — it is filtered). Each SolveKey is rendezvous-hashed to one owner
+	// not — it is filtered). Each solve key is rendezvous-hashed to one owner
 	// and non-owners proxy solve-plane requests to it; see docs/fleet.md.
 	// Empty FleetSelf disables fleet mode regardless of FleetPeers.
 	FleetSelf  string
@@ -207,7 +207,7 @@ type Server struct {
 	wlMemo map[string]*checkmate.Workload
 
 	// streamMu guards streams, the hubs of in-flight streaming solves:
-	// every SSE watcher of one SolveKey attaches to the same hub (and so to
+	// every SSE watcher of one solve key attaches to the same hub (and so to
 	// the same solve).
 	streamMu sync.Mutex
 	streams  map[string]*streamHub
@@ -566,23 +566,18 @@ func (s *Server) buildWorkload(spec workloadSpec) (*checkmate.Workload, error) {
 	}
 }
 
-// solveParams are the normalized solver knobs for one budget point.
-type solveParams struct {
-	budget int64
-	// method is the requested solver method; Auto stays Auto here (the
-	// checkmate router resolves it, and SolveKeyFor keys on the resolution
-	// so identical requests cache identically either way).
-	method checkmate.Method
-	opt    checkmate.SolveOptions
-}
-
-func (s *Server) solveParamsFrom(method string, budget, timeLimitMS int64, relGap float64) (solveParams, error) {
-	p := solveParams{budget: budget, method: checkmate.Method(method)}
-	if !checkmate.ValidMethod(p.method) {
-		return p, fmt.Errorf("unknown method %q (valid: %s)", method, strings.Join(checkmate.MethodNames(), ", "))
+// solveRequest validates one budget point's solver knobs and normalizes
+// them into the checkmate.Request the point solves and caches under; the
+// caller sets its Workload. Auto stays Auto here: Request.Resolve routes it
+// and Request.Key keys on the resolution, so identical requests cache
+// identically either way.
+func (s *Server) solveRequest(method string, budget, timeLimitMS int64, relGap float64) (checkmate.Request, error) {
+	creq := checkmate.Request{Method: checkmate.Method(method), Budget: budget}
+	if !checkmate.ValidMethod(creq.Method) {
+		return creq, fmt.Errorf("unknown method %q (valid: %s)", method, strings.Join(checkmate.MethodNames(), ", "))
 	}
 	if budget <= 0 {
-		return p, fmt.Errorf("budget must be positive, got %d", budget)
+		return creq, fmt.Errorf("budget must be positive, got %d", budget)
 	}
 	tl := s.cfg.DefaultTimeLimit
 	if timeLimitMS > 0 {
@@ -591,20 +586,20 @@ func (s *Server) solveParamsFrom(method string, budget, timeLimitMS int64, relGa
 	if tl > s.cfg.MaxTimeLimit {
 		tl = s.cfg.MaxTimeLimit
 	}
-	p.opt = checkmate.SolveOptions{TimeLimit: tl, RelGap: relGap, Threads: s.cfg.SolveThreads}
-	return p, nil
+	creq.TimeLimit, creq.RelGap, creq.Threads = tl, relGap, s.cfg.SolveThreads
+	return creq, nil
 }
 
-// solveOne resolves one (workload, params) instance through the two cache
-// tiers (in-memory, then persistent store) and, on miss, the worker pool
-// under cost-aware admission. It is the shared engine of /v1/solve, each
+// solveOne resolves one request through the two cache tiers (in-memory,
+// then persistent store) and, on miss, the worker pool under cost-aware
+// admission. It is the shared engine of /v1/solve, each
 // /v1/sweep point, and /v1/solve/stream: every solver run forwards its
-// progress events to the stream hub watching its SolveKey (if any — the
+// progress events to the stream hub watching its key (if any — the
 // lookup is per event, so watchers attaching mid-solve still see the rest
 // of the trajectory). Cache hits bypass the solver, so watchers see no
 // events for them.
-func (s *Server) solveOne(ctx context.Context, wl *checkmate.Workload, p solveParams, noCache bool) (*api.SolveResponse, error) {
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
+func (s *Server) solveOne(ctx context.Context, creq checkmate.Request, noCache bool) (*api.SolveResponse, error) {
+	key := creq.Key()
 	if !noCache {
 		// Tier 1: in-memory shard. Hit/miss accounting lives in the shard;
 		// NoCache requests never consult the cache, so they skew no counter.
@@ -627,9 +622,11 @@ func (s *Server) solveOne(ctx context.Context, wl *checkmate.Workload, p solvePa
 	// re-applied after calibration — it caps real solver work no matter
 	// what ratio was learned from other requests, so the admission cost
 	// must respect the same ceiling.
-	rawEstimate := wl.EstimateSolveCostFor(p.method, p.budget, p.opt)
+	rawEstimate := creq.Workload.EstimateSolveCostFor(creq.Method, creq.Budget, checkmate.SolveOptions{
+		TimeLimit: creq.TimeLimit, RelGap: creq.RelGap, Threads: creq.Threads,
+	})
 	cost := s.calib.calibrated(rawEstimate)
-	if lim := float64(p.opt.TimeLimit.Milliseconds()); lim > 0 && cost > lim {
+	if lim := float64(creq.TimeLimit.Milliseconds()); lim > 0 && cost > lim {
 		cost = lim
 	}
 	// The flight runs on a detached pool context (waiters may come and go);
@@ -641,7 +638,7 @@ func (s *Server) solveOne(ctx context.Context, wl *checkmate.Workload, p solvePa
 			fctx = telemetry.WithRequestID(fctx, rid)
 		}
 		start := time.Now()
-		resp, err := s.runSolve(fctx, wl, p, key)
+		resp, err := s.runSolve(fctx, creq, key)
 		if err != nil {
 			// Calibrate on limit-type failures too: they consumed their full
 			// time budget. Other failures are excluded — a cancelled solve's
@@ -714,10 +711,10 @@ func (s *Server) writeStored(key graph.Fingerprint, resp *api.SolveResponse) {
 
 // runSolve executes the actual solver call through the unified
 // checkmate.Solve entry point and serializes the result. Progress events
-// flow to the stream hub watching this SolveKey, if one exists when each
+// flow to the stream hub watching this key, if one exists when each
 // event fires (Request.TimeLimit bounds both methods — the approx ε-search
 // included).
-func (s *Server) runSolve(ctx context.Context, wl *checkmate.Workload, p solveParams, key graph.Fingerprint) (*api.SolveResponse, error) {
+func (s *Server) runSolve(ctx context.Context, creq checkmate.Request, key graph.Fingerprint) (*api.SolveResponse, error) {
 	start := time.Now()
 	// Record a span tree for this solve and retain it (success or failure —
 	// a timed-out solve's trace is the one worth reading) for
@@ -725,15 +722,9 @@ func (s *Server) runSolve(ctx context.Context, wl *checkmate.Workload, p solvePa
 	tr := telemetry.NewTrace()
 	ctx = telemetry.WithTrace(ctx, tr)
 	defer s.traces.put(key.String(), tr)
-	sched, err := checkmate.Solve(ctx, checkmate.Request{
-		Workload:  wl,
-		Method:    p.method,
-		Budget:    p.budget,
-		TimeLimit: p.opt.TimeLimit,
-		RelGap:    p.opt.RelGap,
-		Threads:   p.opt.Threads,
-		Observer:  s.keyObserver(key, wl.Graph.Len()),
-	})
+	wl := creq.Workload
+	creq.Observer = s.keyObserver(key, wl.Graph.Len())
+	sched, err := checkmate.Solve(ctx, creq)
 	if err != nil {
 		return nil, err
 	}
@@ -782,7 +773,7 @@ func (s *Server) runSolve(ctx context.Context, wl *checkmate.Workload, p solvePa
 		IdealCost:      sched.IdealCost,
 		Overhead:       sched.Overhead(),
 		PeakBytes:      sched.PeakBytes,
-		Budget:         p.budget,
+		Budget:         creq.Budget,
 		GraphNodes:     wl.Graph.Len(),
 		SolveMS:        float64(time.Since(start).Microseconds()) / 1e3,
 		Degraded:       sched.Degraded,
@@ -865,12 +856,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	p, err := s.solveParamsFrom(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
+	creq, err := s.solveRequest(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	wl, err := s.buildWorkload(workloadSpec{
+	creq.Workload, err = s.buildWorkload(workloadSpec{
 		model: req.Model, batch: req.Batch, device: req.Device,
 		coarseSegments: req.CoarseSegments, graph: req.Graph,
 	})
@@ -878,7 +869,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "building workload: %v", err)
 		return
 	}
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
+	key := creq.Key()
 	if owner, ok := s.forwardTarget(r, key.String()); ok {
 		// A locally cached answer beats the network no matter who owns the
 		// key; the tiers are only consulted on the forwarding path so the
@@ -890,12 +881,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if body, merr := json.Marshal(req); merr == nil {
-			if s.relaySolve(w, r, owner, "/v1/solve", body, p.opt.TimeLimit, key) {
+			if s.relaySolve(w, r, owner, "/v1/solve", body, creq.TimeLimit, key) {
 				return
 			}
 		}
 		// Owner unreachable: availability beats dedup. Solve here, stamped.
-		resp, err := s.solveOne(r.Context(), wl, p, req.NoCache)
+		resp, err := s.solveOne(r.Context(), creq, req.NoCache)
 		if err != nil {
 			s.writeSolveErr(w, r, err)
 			return
@@ -904,7 +895,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, resp)
 		return
 	}
-	resp, err := s.solveOne(r.Context(), wl, p, req.NoCache)
+	resp, err := s.solveOne(r.Context(), creq, req.NoCache)
 	if err != nil {
 		s.writeSolveErr(w, r, err)
 		return
@@ -912,14 +903,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// sweepPlan is a fully validated sweep: the workload, its budget points in
-// ascending order, and each point's solve parameters. Both the blocking
+// sweepPlan is a fully validated sweep: the workload and one solve request
+// per budget point, in ascending budget order. Both the blocking
 // /v1/sweep handler and the streaming /v1/sweep/stream handler build one,
 // then hand it to runSweep.
 type sweepPlan struct {
 	wl     *checkmate.Workload
 	method string
-	params []solveParams
+	params []checkmate.Request
 	resp   api.SweepResponse // envelope (MinBudget, CheckpointAllPeak); Points filled by runSweep
 }
 
@@ -961,13 +952,14 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 		return nil, http.StatusBadRequest, fmt.Errorf("sweep of %d budgets exceeds the 256-point limit", len(budgets))
 	}
 	sort.Slice(budgets, func(i, j int) bool { return budgets[i] < budgets[j] })
-	plan.params = make([]solveParams, len(budgets))
+	plan.params = make([]checkmate.Request, len(budgets))
 	for i, budget := range budgets {
-		p, err := s.solveParamsFrom(plan.method, budget, req.TimeLimitMS, req.RelGap)
+		creq, err := s.solveRequest(plan.method, budget, req.TimeLimitMS, req.RelGap)
 		if err != nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("budget %d: %v", budget, err)
 		}
-		plan.params[i] = p
+		creq.Workload = wl
+		plan.params[i] = creq
 	}
 	return plan, 0, nil
 }
@@ -997,18 +989,18 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, onPoint func(i i
 	var wg sync.WaitGroup
 	for i, p := range plan.params {
 		wg.Add(1)
-		go func(i int, p solveParams) {
+		go func(i int, p checkmate.Request) {
 			defer wg.Done()
 			defer func() {
 				if rec := recover(); rec != nil {
 					perr := telemetry.Recovered("service.sweep", rec)
 					s.metrics.handlerPanics.Inc()
-					s.log.Error("sweep point panic contained", "budget", p.budget,
+					s.log.Error("sweep point panic contained", "budget", p.Budget,
 						"err", perr, "stack", string(perr.Stack))
-					record(i, api.SweepPoint{Budget: p.budget, Error: perr.Error()})
+					record(i, api.SweepPoint{Budget: p.Budget, Error: perr.Error()})
 				}
 			}()
-			pt := api.SweepPoint{Budget: p.budget}
+			pt := api.SweepPoint{Budget: p.Budget}
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
@@ -1017,7 +1009,7 @@ func (s *Server) runSweep(ctx context.Context, plan *sweepPlan, onPoint func(i i
 				record(i, pt)
 				return
 			}
-			res, err := s.solveOne(ctx, plan.wl, p, false)
+			res, err := s.solveOne(ctx, p, false)
 			if err != nil {
 				pt.Error = err.Error()
 			} else {
@@ -1062,7 +1054,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// (fleet local_fallbacks) rather than stamped per point.
 	if owner, ok := s.forwardTarget(r, sweepKey(plan.wl, plan.method)); ok {
 		if body, merr := json.Marshal(req); merr == nil {
-			timeout := sweepForwardTimeout(len(plan.params), s.pool.workers, plan.params[0].opt.TimeLimit)
+			timeout := sweepForwardTimeout(len(plan.params), s.pool.workers, plan.params[0].TimeLimit)
 			if s.relaySolve(w, r, owner, "/v1/sweep", body, timeout, graph.Fingerprint{}) {
 				return
 			}

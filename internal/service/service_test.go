@@ -410,14 +410,15 @@ func TestSolveCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := srv.solveParamsFrom(string(checkmate.Optimal), 8, 60_000, 0)
+	creq, err := srv.solveRequest(string(checkmate.Optimal), 8, 60_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	creq.Workload = wl
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := srv.solveOne(ctx, wl, p, false)
+		_, err := srv.solveOne(ctx, creq, false)
 		errc <- err
 	}()
 	// Wait until the solve occupies a worker, then pull the plug.
@@ -453,8 +454,9 @@ func TestSolveCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qp, _ := srv.solveParamsFrom(string(checkmate.Optimal), 6, 20_000, 0)
-	if _, err := srv.solveOne(context.Background(), quick, qp, false); err != nil {
+	qreq, _ := srv.solveRequest(string(checkmate.Optimal), 6, 20_000, 0)
+	qreq.Workload = quick
+	if _, err := srv.solveOne(context.Background(), qreq, false); err != nil {
 		t.Fatalf("pool unusable after cancellation: %v", err)
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // streamHub fans one in-flight solve's progress out to any number of SSE
-// watchers. All watchers of the same SolveKey share one hub — and through
+// watchers. All watchers of the same solve key share one hub — and through
 // it one flight in the worker pool — so a thundering herd of dashboards
 // costs one solve. The hub keeps the full event history of its solve:
 // watchers that attach late (or reconnect with Last-Event-ID) replay the
@@ -246,7 +246,7 @@ func (s *Server) removeStream(h *streamHub) {
 // alternative as a JSON-encoded "graph" parameter); the response is a
 // Server-Sent-Events stream of started/incumbent/bound frames ending in a
 // terminal done frame that carries the exact SolveResponse the blocking
-// endpoint returns. Concurrent watchers of one SolveKey attach to a single
+// endpoint returns. Concurrent watchers of one solve key attach to a single
 // in-flight solve; Last-Event-ID resumes a dropped connection against that
 // solve's event history.
 func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
@@ -267,12 +267,12 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	p, err := s.solveParamsFrom(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
+	creq, err := s.solveRequest(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	wl, err := s.buildWorkload(workloadSpec{
+	creq.Workload, err = s.buildWorkload(workloadSpec{
 		model: req.Model, batch: req.Batch, device: req.Device,
 		coarseSegments: req.CoarseSegments, graph: req.Graph,
 	})
@@ -280,7 +280,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusBadRequest, "building workload: %v", err)
 		return
 	}
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
+	key := creq.Key()
 
 	// Fleet routing: relay the owner's stream byte-for-byte when the key is
 	// someone else's. Relay failure falls through to a local solve whose
@@ -317,7 +317,7 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 				Reason: "fleet owner unreachable; solving locally",
 			})
 		}
-		resp, err := s.solveOne(ctx, wl, p, req.NoCache)
+		resp, err := s.solveOne(ctx, creq, req.NoCache)
 		if err == nil && fleetOwner != "" {
 			s.stampFleetLocal(resp, fleetOwner)
 		}

@@ -69,7 +69,7 @@ func readSSE(t *testing.T, body io.Reader) (frames []api.StreamEvent, heartbeats
 // TestStreamEventOrdering is the acceptance flow: on a budget-tight solve
 // the stream must deliver started first, at least one incumbent strictly
 // before the terminal done, IDs must be sequential, and the done frame's
-// schedule must equal the blocking /v1/solve result for the same SolveKey.
+// schedule must equal the blocking /v1/solve result for the same solve key.
 func TestStreamEventOrdering(t *testing.T) {
 	srv, ts := testServer(t)
 	spec := chainSpec(12)
@@ -131,7 +131,7 @@ func TestStreamEventOrdering(t *testing.T) {
 	}
 
 	// The streamed schedule and the blocking endpoint's must be the same
-	// object for the same SolveKey.
+	// object for the same solve key.
 	blocking, errResp := postSolve(t, ts, api.SolveRequest{Graph: spec, Budget: budget})
 	if errResp != nil {
 		t.Fatalf("blocking solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
@@ -151,7 +151,7 @@ func TestStreamEventOrdering(t *testing.T) {
 }
 
 // TestStreamCachedSolveSkipsStraightToDone: a stream for an already-cached
-// SolveKey delivers only the terminal done frame.
+// solve key delivers only the terminal done frame.
 func TestStreamCachedSolveSkipsStraightToDone(t *testing.T) {
 	_, ts := testServer(t)
 	spec := chainSpec(10)
@@ -229,7 +229,7 @@ func TestStreamClientCancellationStopsSolve(t *testing.T) {
 	}
 }
 
-// TestStreamSingleFlightAttach: two concurrent watchers of one SolveKey
+// TestStreamSingleFlightAttach: two concurrent watchers of one solve key
 // must share a single solve and receive identical terminal results.
 func TestStreamSingleFlightAttach(t *testing.T) {
 	srv, ts := testServer(t)
@@ -285,7 +285,7 @@ func TestStreamSingleFlightAttach(t *testing.T) {
 	}
 }
 
-// TestStreamAttachesToInFlightBlockingSolve: a watcher whose SolveKey is
+// TestStreamAttachesToInFlightBlockingSolve: a watcher whose solve key is
 // already being solved by a blocking /v1/solve request joins that flight
 // via the pool's single-flight dedup — and must still receive the solve's
 // remaining progress frames (the solver's observer resolves the hub per
@@ -363,11 +363,12 @@ func TestKeyObserverResolvesHubPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := srv.solveParamsFrom(string(checkmate.Optimal), 6, 10_000, 0)
+	creq, err := srv.solveRequest(string(checkmate.Optimal), 6, 10_000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := wl.SolveKeyFor(p.method, p.budget, p.opt)
+	creq.Workload = wl
+	key := creq.Key()
 	obs := srv.keyObserver(key, wl.Graph.Len())
 
 	// No hub yet: the event goes nowhere (and must not panic).

@@ -94,17 +94,17 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepStreamKey names the hub of one exact sweep. It hashes every point's
-// SolveKey, so two sweeps share a hub — and one in-flight run — only when
+// cache key, so two sweeps share a hub — and one in-flight run — only when
 // they agree on the workload, method, budget list, and solve options. The
 // "sweep/" namespace keeps hub keys disjoint from solve-stream hubs (bare
-// SolveKey strings) and from receiving keyObserver solver events.
+// cache-key strings) and from receiving keyObserver solver events.
 func sweepStreamKey(plan *sweepPlan) string {
 	h := sha256.New()
 	io.WriteString(h, "checkmate/sweep-stream/v1")
 	io.WriteString(h, "\x00"+plan.wl.Fingerprint().String())
 	io.WriteString(h, "\x00"+plan.method)
 	for _, p := range plan.params {
-		io.WriteString(h, "\x00"+plan.wl.SolveKeyFor(p.method, p.budget, p.opt).String())
+		io.WriteString(h, "\x00"+p.Key().String())
 	}
 	return "sweep/" + hex.EncodeToString(h.Sum(nil)[:16])
 }
