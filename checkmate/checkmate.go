@@ -15,7 +15,7 @@
 // the exact MILP (Optimal, the default), the polynomial-time two-phase LP
 // rounding (Approx, paper Section 5), or a prior-work heuristic of Table 1
 // (Baseline); Request.Budgets switches to a warm-started budget sweep.
-// A Request may carry an Observer (or an Events channel) that receives
+// A Request may carry an Observer that receives
 // typed progress events — Started, Incumbent, BoundImproved, SweepPoint,
 // Done — while the solver runs, exposing the anytime incumbent/bound
 // trajectory of the branch-and-bound search.

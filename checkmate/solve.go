@@ -5,7 +5,7 @@
 //
 // Checkmate's optimal solves are anytime searches: branch-and-bound holds a
 // feasible incumbent and a proven bound long before optimality (paper
-// Section 4.7). A Request's Observer (or Events channel) surfaces that
+// Section 4.7). A Request's Observer surfaces that
 // trajectory — Started, Incumbent, BoundImproved, SweepPoint, Done — so
 // callers can act on a good-enough incumbent under a deadline instead of
 // blocking blind until the proof closes.
@@ -255,13 +255,6 @@ type Request struct {
 	// Observer, when non-nil, receives every progress event synchronously
 	// and losslessly (subject to ProgressInterval rate limiting).
 	Observer Observer
-	// Events, when non-nil, receives the same events via non-blocking
-	// sends: an event that does not fit the channel's buffer is dropped
-	// rather than stalling the solver — EventDone included, so do not block
-	// waiting for Done on this channel alone; Solve's return is the
-	// reliable end-of-stream signal. Size the buffer generously, or use an
-	// Observer when loss matters. The channel is never closed by Solve.
-	Events chan<- Event
 	// ProgressInterval rate-limits Incumbent and BoundImproved events: after
 	// one is delivered, further ones are suppressed for this long. The
 	// first incumbent and the terminal Done are never suppressed. Zero
@@ -381,7 +374,7 @@ func (r Request) Key() graph.Fingerprint {
 
 // Solve is the single context-first entry point of the public API: it
 // solves req.Workload under req.Budget with the selected Method, streaming
-// typed progress events to req.Observer/req.Events while the solver runs,
+// typed progress events to req.Observer while the solver runs,
 // and returns the final schedule.
 //
 // Cancellation: when ctx ends, the branch-and-bound search (and any
@@ -704,11 +697,10 @@ func isPointError(err error) bool {
 }
 
 // emitter serializes and rate-limits event delivery to the request's
-// Observer and Events channel. Solver hooks may fire concurrently (parallel
+// Observer. Solver hooks may fire concurrently (parallel
 // branch-and-bound workers); the mutex keeps delivery ordered.
 type emitter struct {
 	obs      Observer
-	ch       chan<- Event
 	interval time.Duration
 	start    time.Time
 
@@ -723,7 +715,6 @@ type emitter struct {
 func newEmitter(req Request) *emitter {
 	e := &emitter{
 		obs:      req.Observer,
-		ch:       req.Events,
 		interval: req.ProgressInterval,
 		start:    time.Now(),
 		budget:   req.Budget,
@@ -740,24 +731,17 @@ func newEmitter(req Request) *emitter {
 
 // active reports whether anyone is listening; when false every hook is nil
 // so the solver pays nothing for the event machinery.
-func (e *emitter) active() bool { return e.obs != nil || e.ch != nil }
+func (e *emitter) active() bool { return e.obs != nil }
 
-// deliver stamps and sends one event. Caller holds e.mu (delivery stays
-// inside the lock so concurrent solver hooks cannot reorder events).
+// deliver stamps and sends one event. Callers have checked active() and
+// hold e.mu (delivery stays inside the lock so concurrent solver hooks
+// cannot reorder events).
 func (e *emitter) deliver(ev Event) {
 	ev.Elapsed = time.Since(e.start)
 	if ev.Budget == 0 {
 		ev.Budget = e.budget
 	}
-	if e.obs != nil {
-		e.obs.OnEvent(ev)
-	}
-	if e.ch != nil {
-		select {
-		case e.ch <- ev:
-		default: // never stall the solver on a full channel
-		}
-	}
+	e.obs.OnEvent(ev)
 }
 
 // allowProgress implements the Incumbent/BoundImproved rate limit. Caller

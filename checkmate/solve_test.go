@@ -223,28 +223,6 @@ func TestSolveSweepRequest(t *testing.T) {
 	}
 }
 
-// TestSolveEventsChannel: the channel transport delivers the same stream,
-// terminated by Done, without ever blocking the solver.
-func TestSolveEventsChannel(t *testing.T) {
-	wl := loadTest(t, 8)
-	ch := make(chan Event, 256)
-	_, err := Solve(context.Background(), Request{
-		Workload: wl, Budget: tightBudget(wl), TimeLimit: 30 * time.Second,
-		RelGap: 0.05, Events: ch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(ch)
-	var kinds []EventKind
-	for e := range ch {
-		kinds = append(kinds, e.Kind)
-	}
-	if len(kinds) < 2 || kinds[0] != EventStarted || kinds[len(kinds)-1] != EventDone {
-		t.Fatalf("channel stream malformed: %v", kinds)
-	}
-}
-
 func TestSolveDoneEventOnError(t *testing.T) {
 	wl := loadTest(t, 8)
 	var last Event

@@ -1,8 +1,7 @@
 // Command checkmate-lint runs the project's static-analysis suite: the
 // analyzers in internal/lint that machine-check invariants the codebase
 // relies on (context propagation, goroutine panic containment, closed
-// metric-label vocabularies, deprecation bans, structured logging,
-// float-comparison hygiene) plus vet-style passes. It exits 0 when the tree
+// metric-label vocabularies, structured logging, float-comparison hygiene) plus vet-style passes. It exits 0 when the tree
 // is clean, 1 on findings, and 2 when packages fail to load, so CI can gate
 // on it directly:
 //

@@ -39,19 +39,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// Program gives analyzers a cross-package view of the loaded module: doc
-// comments (and through them deprecation markers) for objects declared in
-// source-loaded packages.
-type Program interface {
-	// ObjectDoc returns the doc comment of a package-level object declared
-	// in a source-loaded package, "" when unknown (e.g. stdlib objects,
-	// which are loaded from export data without syntax).
-	ObjectDoc(obj types.Object) string
-	// IsDeprecated reports whether the object's doc comment carries a
-	// "Deprecated:" paragraph, the standard Go deprecation marker.
-	IsDeprecated(obj types.Object) bool
-}
-
 // Pass carries one analyzer's view of one package.
 type Pass struct {
 	Analyzer  *Analyzer
@@ -59,7 +46,6 @@ type Pass struct {
 	Syntax    []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Prog      Program
 
 	report func(Diagnostic)
 	dirs   map[*ast.File]*Directives
@@ -67,8 +53,8 @@ type Pass struct {
 
 // NewPass assembles a Pass; report receives the (directive-filtered)
 // diagnostics.
-func NewPass(a *Analyzer, fset *token.FileSet, syntax []*ast.File, pkg *types.Package, info *types.Info, prog Program, report func(Diagnostic)) *Pass {
-	return &Pass{Analyzer: a, Fset: fset, Syntax: syntax, Pkg: pkg, TypesInfo: info, Prog: prog, report: report}
+func NewPass(a *Analyzer, fset *token.FileSet, syntax []*ast.File, pkg *types.Package, info *types.Info, report func(Diagnostic)) *Pass {
+	return &Pass{Analyzer: a, Fset: fset, Syntax: syntax, Pkg: pkg, TypesInfo: info, report: report}
 }
 
 // Report emits one diagnostic unless a //lint: directive on (or directly

@@ -5,9 +5,9 @@
 //   - context.Background() / context.TODO() are banned outside package main.
 //     Legitimate detach points — the worker pool's flights and the stream
 //     hubs, whose solves outlive any one request — carry a //lint:detach
-//     annotation with a reason. A "Deprecated:" doc comment exempts
-//     nothing: a compatibility wrapper that mints a root context is the
-//     defect this check exists to catch.
+//     annotation with a reason. Compatibility wrappers get no exemption:
+//     one that mints a root context is the defect this check exists to
+//     catch.
 //   - A function that takes a context.Context must take it as its first
 //     parameter, so call sites read uniformly and no ctx is buried.
 //

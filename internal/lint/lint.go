@@ -1,7 +1,7 @@
 // Package lint assembles the checkmate-lint analyzer suite: project-specific
 // analyzers that machine-check invariants the codebase relies on (context
 // propagation, goroutine panic containment, closed metric-label vocabularies,
-// deprecation bans, structured logging, float-comparison hygiene) plus one
+// structured logging, float-comparison hygiene) plus one
 // vet-style pass (nilcheck) that `go vet` does not ship. The standard vet
 // passes — lostcancel and copylocks among them — run through `go vet`
 // itself. See docs/lint.md for the catalogue.
@@ -18,7 +18,6 @@ import (
 	"repro/internal/lint/load"
 	"repro/internal/lint/metriclabels"
 	"repro/internal/lint/nilcheck"
-	"repro/internal/lint/nodeprecated"
 	"repro/internal/lint/structuredlog"
 )
 
@@ -28,7 +27,6 @@ func All() []*analysis.Analyzer {
 		ctxpropagate.Analyzer,
 		gorecover.Analyzer,
 		metriclabels.Analyzer,
-		nodeprecated.Analyzer,
 		structuredlog.Analyzer,
 		floateq.Analyzer,
 		nilcheck.Analyzer,
@@ -67,7 +65,7 @@ func Run(prog *load.Program, analyzers []*analysis.Analyzer) ([]Finding, error) 
 					Message:  d.Message,
 				})
 			}
-			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.TypesInfo, prog, report)
+			pass := analysis.NewPass(a, prog.Fset, pkg.Syntax, pkg.Types, pkg.TypesInfo, report)
 			if err := a.Run(pass); err != nil {
 				return nil, err
 			}

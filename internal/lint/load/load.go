@@ -35,12 +35,10 @@ type Package struct {
 	TypesInfo *types.Info
 }
 
-// Program is the full set of loaded packages plus the cross-package doc
-// index backing deprecation checks. It implements analysis.Program.
+// Program is the full set of loaded packages.
 type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package // dependency order
-	docs     map[types.Object]string
 }
 
 // listPkg is the subset of `go list -json` output the loader consumes.
@@ -98,7 +96,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		}
 	}
 
-	prog := &Program{Fset: token.NewFileSet(), docs: make(map[types.Object]string)}
+	prog := &Program{Fset: token.NewFileSet()}
 	imp := &progImporter{
 		gc:  importer.ForCompiler(prog.Fset, "gc", lookupIn(exports)),
 		mod: make(map[string]*types.Package),
@@ -135,7 +133,6 @@ func Load(dir string, patterns ...string) (*Program, error) {
 		pkg.Types, pkg.TypesInfo = tpkg, info
 		imp.mod[lp.ImportPath] = tpkg
 		prog.Packages = append(prog.Packages, pkg)
-		prog.indexDocs(pkg)
 	}
 	return prog, nil
 }
@@ -150,66 +147,6 @@ func (p *Program) Targets() []*Package {
 		}
 	}
 	return out
-}
-
-// ObjectDoc returns the doc comment of a package-level object declared in a
-// source-loaded package ("" for export-data imports, which carry no docs).
-func (p *Program) ObjectDoc(obj types.Object) string { return p.docs[obj] }
-
-// IsDeprecated reports whether obj's doc comment has a "Deprecated:" line.
-func (p *Program) IsDeprecated(obj types.Object) bool {
-	doc := p.docs[obj]
-	if doc == "" {
-		return false
-	}
-	for _, line := range strings.Split(doc, "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
-}
-
-// indexDocs maps pkg's declared package-level objects to their doc comments,
-// following go/doc's rule that a spec without its own doc inherits the
-// enclosing GenDecl's (so every constant in a `// Deprecated: ...` const
-// block is marked).
-func (p *Program) indexDocs(pkg *Package) {
-	add := func(name *ast.Ident, doc *ast.CommentGroup) {
-		if doc == nil || name == nil {
-			return
-		}
-		if obj := pkg.TypesInfo.Defs[name]; obj != nil {
-			p.docs[obj] = doc.Text()
-		}
-	}
-	for _, f := range pkg.Syntax {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				add(d.Name, d.Doc)
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.ValueSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						for _, n := range s.Names {
-							add(n, doc)
-						}
-					case *ast.TypeSpec:
-						doc := s.Doc
-						if doc == nil {
-							doc = d.Doc
-						}
-						add(s.Name, doc)
-					}
-				}
-			}
-		}
-	}
 }
 
 // progImporter resolves imports during source typechecking: module packages

@@ -338,7 +338,11 @@ func (c *Client) Solve(ctx context.Context, req api.SolveRequest) (*api.SolveRes
 // Cancelling ctx mid-stream closes the connection; when this client is the
 // solve's only watcher, the server abandons the solve.
 func (c *Client) SolveStream(ctx context.Context, req api.SolveRequest, lastEventID int, fn func(api.StreamEvent)) (*api.SolveResponse, error) {
-	done, err := c.stream(ctx, "/v1/solve/stream", streamQuery(req), lastEventID, fn)
+	q, err := req.Query()
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
+	}
+	done, err := c.stream(ctx, "/v1/solve/stream", q, lastEventID, fn)
 	if err != nil {
 		return nil, err
 	}
@@ -351,7 +355,11 @@ func (c *Client) SolveStream(ctx context.Context, req api.SolveRequest, lastEven
 // identical to what Sweep would have returned. Reconnect and resume
 // semantics match SolveStream.
 func (c *Client) SweepStream(ctx context.Context, req api.SweepRequest, lastEventID int, fn func(api.StreamEvent)) (*api.SweepResponse, error) {
-	done, err := c.stream(ctx, "/v1/sweep/stream", sweepStreamQuery(req), lastEventID, fn)
+	q, err := req.Query()
+	if err != nil {
+		return nil, fmt.Errorf("client: encoding request: %w", err)
+	}
+	done, err := c.stream(ctx, "/v1/sweep/stream", q, lastEventID, fn)
 	if err != nil {
 		return nil, err
 	}
@@ -476,71 +484,6 @@ func (c *Client) streamOnce(ctx context.Context, base, path string, q url.Values
 		return nil, fmt.Errorf("client: reading event stream: %w", err)
 	}
 	return nil, fmt.Errorf("client: event stream ended without a done frame")
-}
-
-// streamQuery encodes a SolveRequest as /v1/solve/stream query parameters.
-func streamQuery(req api.SolveRequest) url.Values {
-	q := url.Values{}
-	set := func(k, v string) {
-		if v != "" && v != "0" {
-			q.Set(k, v)
-		}
-	}
-	set("model", req.Model)
-	set("batch", strconv.Itoa(req.Batch))
-	set("device", req.Device)
-	set("coarse_segments", strconv.Itoa(req.CoarseSegments))
-	set("budget", strconv.FormatInt(req.Budget, 10))
-	set("method", req.Method)
-	set("solver", req.Solver)
-	set("time_limit_ms", strconv.FormatInt(req.TimeLimitMS, 10))
-	if req.RelGap != 0 {
-		q.Set("rel_gap", strconv.FormatFloat(req.RelGap, 'g', -1, 64))
-	}
-	if req.NoCache {
-		q.Set("no_cache", "true")
-	}
-	if req.Graph != nil {
-		if spec, err := json.Marshal(req.Graph); err == nil {
-			q.Set("graph", string(spec))
-		}
-	}
-	return q
-}
-
-// sweepStreamQuery encodes a SweepRequest as /v1/sweep/stream query
-// parameters (budgets as a comma-separated list).
-func sweepStreamQuery(req api.SweepRequest) url.Values {
-	q := url.Values{}
-	set := func(k, v string) {
-		if v != "" && v != "0" {
-			q.Set(k, v)
-		}
-	}
-	set("model", req.Model)
-	set("batch", strconv.Itoa(req.Batch))
-	set("device", req.Device)
-	set("coarse_segments", strconv.Itoa(req.CoarseSegments))
-	set("method", req.Method)
-	set("solver", req.Solver)
-	set("points", strconv.Itoa(req.Points))
-	set("time_limit_ms", strconv.FormatInt(req.TimeLimitMS, 10))
-	if req.RelGap != 0 {
-		q.Set("rel_gap", strconv.FormatFloat(req.RelGap, 'g', -1, 64))
-	}
-	if len(req.Budgets) > 0 {
-		parts := make([]string, len(req.Budgets))
-		for i, b := range req.Budgets {
-			parts[i] = strconv.FormatInt(b, 10)
-		}
-		q.Set("budgets", strings.Join(parts, ","))
-	}
-	if req.Graph != nil {
-		if spec, err := json.Marshal(req.Graph); err == nil {
-			q.Set("graph", string(spec))
-		}
-	}
-	return q
 }
 
 // Sweep requests one workload at several budgets.

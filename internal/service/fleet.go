@@ -40,23 +40,6 @@ func (s *Server) forwardTarget(r *http.Request, key string) (string, bool) {
 	return owner, true
 }
 
-// cachedResponse consults both cache tiers for key and returns a mutable
-// copy stamped Cached. Fleet handlers call it before forwarding: a locally
-// cached answer never crosses the network, whoever owns the key.
-func (s *Server) cachedResponse(key graph.Fingerprint) (*api.SolveResponse, bool) {
-	if resp, ok := s.cache.get(key); ok {
-		resp.Cached = true
-		return resp, true
-	}
-	if resp, ok := s.loadStored(key); ok {
-		s.cache.put(key, resp)
-		cp := *resp
-		cp.Cached = true
-		return &cp, true
-	}
-	return nil, false
-}
-
 // relaySolve proxies one solve-plane JSON request to owner and relays the
 // owner's definitive answer verbatim — status, content type, body — so the
 // non-owner is a transparent proxy (a 422 infeasible from the owner must

@@ -8,6 +8,8 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"net/url"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -244,6 +246,55 @@ func TestFleetOwnerCrashSolvesLocallyStamped(t *testing.T) {
 	}
 	if st.Fleet == nil || st.Fleet.LocalFallbacks == 0 || st.Fleet.ForwardErrors == 0 {
 		t.Fatalf("fleet stats missing the fallback: %+v", st.Fleet)
+	}
+	// One request, one lookup: the fallback solve does not consult the
+	// cache the routing decision already missed in.
+	if st.CacheMisses != 1 || st.CacheHits != 0 {
+		t.Fatalf("one fallback request counted %d cache misses and %d hits, want 1 and 0", st.CacheMisses, st.CacheHits)
+	}
+}
+
+// TestFleetStreamCachedLocallyCountsOneHit: a fleet stream whose key this
+// member already holds is served from its cache without relaying, and that
+// one request counts one cache hit.
+func TestFleetStreamCachedLocallyCountsOneHit(t *testing.T) {
+	nodes := fleetCluster(t, 3, nil)
+	spec := chainSpec(16)
+	const ownerIdx = 1
+	budget := budgetOwnedBy(t, nodes, spec, ownerIdx)
+
+	// A forwarded blocking solve leaves the owner's answer in the entry
+	// member's memory cache.
+	if _, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget}); err != nil {
+		t.Fatal(err)
+	}
+	before := nodes[0].srv.Stats()
+
+	raw, _ := json.Marshal(spec)
+	q := url.Values{"graph": {string(raw)}, "budget": {strconv.FormatInt(budget, 10)}}
+	resp, err := http.Get(nodes[0].url + "/v1/solve/stream?" + q.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	frames, _ := readSSE(t, resp.Body)
+	if len(frames) == 0 || frames[len(frames)-1].Event != api.StreamEventDone {
+		t.Fatalf("stream ended without a done frame: %+v", frames)
+	}
+	var done api.StreamDone
+	if err := json.Unmarshal(frames[len(frames)-1].Data, &done); err != nil {
+		t.Fatal(err)
+	}
+	if done.Result == nil || !done.Result.Cached {
+		t.Fatalf("locally cached stream not served from the cache: %+v", done)
+	}
+	after := nodes[0].srv.Stats()
+	if hits := after.CacheHits - before.CacheHits; hits != 1 {
+		t.Fatalf("one cached stream counted %d cache hits, want 1", hits)
+	}
+	if after.CacheMisses != before.CacheMisses || after.Solves != 0 {
+		t.Fatalf("cached stream missed or solved: misses %d -> %d, solves %d",
+			before.CacheMisses, after.CacheMisses, after.Solves)
 	}
 }
 

@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -47,8 +49,8 @@ func TestSolveMethodField(t *testing.T) {
 	if errResp != nil {
 		t.Fatalf("optimal solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
 	}
-	if opt.Method != string(checkmate.Optimal) || opt.Solver != string(checkmate.Optimal) {
-		t.Fatalf("default solve reported method %q solver %q", opt.Method, opt.Solver)
+	if opt.Method != string(checkmate.Optimal) {
+		t.Fatalf("default solve reported method %q", opt.Method)
 	}
 	iv, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6, Method: string(checkmate.Interval)})
 	if errResp != nil {
@@ -101,25 +103,37 @@ func TestSolveUnknownMethod400(t *testing.T) {
 	}
 }
 
-// TestSolverAliasCompatibility: the deprecated "solver" field still routes
-// (as a method alias) and loses to an explicit "method".
-func TestSolverAliasCompatibility(t *testing.T) {
-	_, ts := testServer(t)
-	apx, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6, Solver: "approx"})
-	if errResp != nil {
-		t.Fatalf("solver alias solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
+// TestSolverAliasRejected: the removed "solver" alias of "method" is an
+// unknown field on every solve-plane endpoint, so an old client asking for
+// approx gets a 400 naming the field, never a schedule from another method.
+func TestSolverAliasRejected(t *testing.T) {
+	srv, ts := testServer(t)
+	graph, _ := json.Marshal(chainSpec(10))
+	check := func(name string, resp *http.Response, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var e api.ErrorResponse
+		json.NewDecoder(resp.Body).Decode(&e)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"solver"`) {
+			t.Fatalf("%s: HTTP %d %q, want 400 naming \"solver\"", name, resp.StatusCode, e.Error)
+		}
 	}
-	if apx.Method != string(checkmate.Approx) || apx.Solver != string(checkmate.Approx) {
-		t.Fatalf("alias solve reported method %q solver %q", apx.Method, apx.Solver)
+	for path, budget := range map[string]string{"/v1/solve": `"budget":6`, "/v1/sweep": `"budgets":[6]`} {
+		for _, fields := range []string{`"solver":"approx"`, `"method":"optimal","solver":"approx"`} {
+			body := fmt.Sprintf(`{"graph":%s,%s,%s}`, graph, budget, fields)
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			check(path+" "+fields, resp, err)
+		}
 	}
-	both, errResp := postSolve(t, ts, api.SolveRequest{
-		Graph: chainSpec(10), Budget: 6,
-		Method: string(checkmate.Optimal), Solver: "approx",
-	})
-	if errResp != nil {
-		t.Fatalf("method-over-solver solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
+	q := url.Values{"graph": {string(graph)}, "solver": {"approx"}}
+	for _, path := range []string{"/v1/solve/stream?budget=6&", "/v1/sweep/stream?budgets=6&"} {
+		resp, err := http.Get(ts.URL + path + q.Encode())
+		check(path, resp, err)
 	}
-	if both.Method != string(checkmate.Optimal) {
-		t.Fatalf("explicit method lost to the solver alias: reported %q", both.Method)
+	if st := srv.Stats(); st.Solves != 0 || st.CacheMisses != 0 {
+		t.Fatalf("rejected requests still reached the solver: solves=%d misses=%d", st.Solves, st.CacheMisses)
 	}
 }

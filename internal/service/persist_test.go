@@ -97,6 +97,52 @@ func TestRestartServesSolvedScheduleFromDisk(t *testing.T) {
 	}
 }
 
+// TestStoredSolverFieldStillLoads: responses stored before the "solver"
+// alias was removed still carry it. Stored responses decode leniently, so
+// such an entry is a store hit, not a re-solve.
+func TestStoredSolverFieldStillLoads(t *testing.T) {
+	dir := t.TempDir()
+	req := api.SolveRequest{Graph: chainSpec(10), Budget: 6}
+	srv1, ts1 := testServerCfg(t, persistentCfg(dir))
+	first, errResp := postSolve(t, ts1, req)
+	if errResp != nil {
+		t.Fatalf("seed solve: HTTP %d %s", errResp.StatusCode, errResp.Status)
+	}
+	creq, err := srv1.solveRequest(req.Method, req.Budget, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if creq.Workload, err = buildTestWorkload(srv1, req.Graph); err != nil {
+		t.Fatal(err)
+	}
+	key := creq.Key()
+	payload, ok := srv1.store.Get(key)
+	if !ok {
+		t.Fatal("seed solve was not stored")
+	}
+	old := bytes.Replace(payload, []byte(`"method":"optimal",`), []byte(`"method":"optimal","solver":"optimal",`), 1)
+	if bytes.Equal(old, payload) {
+		t.Fatalf("stored payload has no method field to extend: %s", payload)
+	}
+	if err := srv1.store.Put(key, old); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	srv1.Close()
+
+	srv2, ts2 := testServerCfg(t, persistentCfg(dir))
+	second, errResp := postSolve(t, ts2, req)
+	if errResp != nil {
+		t.Fatalf("solve after restart: HTTP %d %s", errResp.StatusCode, errResp.Status)
+	}
+	if !second.Cached || string(second.Plan) != string(first.Plan) {
+		t.Fatalf("entry with a solver field not served from the store: cached=%v", second.Cached)
+	}
+	if st := srv2.Stats(); st.Solves != 0 || st.Store.Hits != 1 {
+		t.Fatalf("solves = %d, store hits = %d; want 0 and 1", st.Solves, st.Store.Hits)
+	}
+}
+
 // TestCorruptStoreFilesAreSkippedNeverFatal mangles every stored entry in
 // three different ways and verifies a restarted server starts cleanly, logs
 // and skips the damage, and re-solves the request successfully.

@@ -15,7 +15,7 @@
 // Endpoints:
 //
 //	POST /v1/solve        — one schedule for a named model or serialized graph
-//	GET  /v1/solve/stream — the same solve as Server-Sent Events: live
+//	GET  /v1/solve/stream — the same solve as a Server-Sent Events stream:
 //	                        incumbent/bound progress, terminal done frame
 //	POST /v1/sweep        — one workload at several budgets (Figure 5 as a service)
 //	GET  /v1/models       — the model-zoo names
@@ -597,23 +597,14 @@ func (s *Server) solveRequest(method string, budget, timeLimitMS int64, relGap f
 // progress events to the stream hub watching its key (if any — the
 // lookup is per event, so watchers attaching mid-solve still see the rest
 // of the trajectory). Cache hits bypass the solver, so watchers see no
-// events for them.
-func (s *Server) solveOne(ctx context.Context, creq checkmate.Request, noCache bool) (*api.SolveResponse, error) {
+// events for them. skipLookup goes straight to the pool: set it for
+// NoCache requests and for callers that already missed in cachedResponse,
+// so each request counts each tier at most once.
+func (s *Server) solveOne(ctx context.Context, creq checkmate.Request, skipLookup bool) (*api.SolveResponse, error) {
 	key := creq.Key()
-	if !noCache {
-		// Tier 1: in-memory shard. Hit/miss accounting lives in the shard;
-		// NoCache requests never consult the cache, so they skew no counter.
-		if resp, ok := s.cache.get(key); ok {
-			resp.Cached = true
+	if !skipLookup {
+		if resp, ok := s.cachedResponse(key); ok {
 			return resp, nil
-		}
-		// Tier 2: persistent store. A hit repopulates the memory shard so
-		// the next lookup skips the disk read too.
-		if resp, ok := s.loadStored(key); ok {
-			s.cache.put(key, resp)
-			cp := *resp
-			cp.Cached = true
-			return &cp, nil
 		}
 	}
 	// Admission: the raw estimate orders requests by expense; the calibrator
@@ -671,9 +662,29 @@ func (s *Server) solveOne(ctx context.Context, creq checkmate.Request, noCache b
 	return &cp, nil
 }
 
+// cachedResponse consults both cache tiers for key and returns a mutable
+// copy stamped Cached. Hit/miss accounting lives in the tiers, so NoCache
+// requests, which never call it, skew no counter. A store hit repopulates
+// the memory shard so the next lookup skips the disk read too.
+func (s *Server) cachedResponse(key graph.Fingerprint) (*api.SolveResponse, bool) {
+	if resp, ok := s.cache.get(key); ok {
+		resp.Cached = true
+		return resp, true
+	}
+	if resp, ok := s.loadStored(key); ok {
+		s.cache.put(key, resp)
+		cp := *resp
+		cp.Cached = true
+		return &cp, true
+	}
+	return nil, false
+}
+
 // loadStored fetches a schedule from the persistent tier. Store defects
 // (missing, corrupt) are misses by contract; a payload that fails to decode
 // here is counted and skipped, never an error — the solver is the fallback.
+// Decoding ignores unknown fields, so entries written by an older server
+// (which still carry the removed "solver" field) keep loading.
 func (s *Server) loadStored(key graph.Fingerprint) (*api.SolveResponse, bool) {
 	if s.store == nil {
 		return nil, false
@@ -767,7 +778,6 @@ func (s *Server) runSolve(ctx context.Context, creq checkmate.Request, key graph
 	return &api.SolveResponse{
 		Fingerprint:    key.String(),
 		Method:         string(sched.Method),
-		Solver:         string(sched.Method),
 		Optimal:        sched.Optimal,
 		Cost:           sched.Cost,
 		IdealCost:      sched.IdealCost,
@@ -843,6 +853,16 @@ func (s *Server) rejectIfDraining(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// decodeRequest decodes a solve-plane JSON body into v. A field v does not
+// have is an error: a client naming a field the server does not know (a
+// misspelling, or a field a newer or older API had) gets a 400 instead of
+// a schedule solved without it.
+func decodeRequest(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, r, http.StatusMethodNotAllowed, "POST required")
@@ -852,11 +872,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
-	creq, err := s.solveRequest(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
+	creq, err := s.solveRequest(req.Method, req.Budget, req.TimeLimitMS, req.RelGap)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -872,8 +892,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	key := creq.Key()
 	if owner, ok := s.forwardTarget(r, key.String()); ok {
 		// A locally cached answer beats the network no matter who owns the
-		// key; the tiers are only consulted on the forwarding path so the
-		// standalone hit/miss accounting in solveOne stays untouched.
+		// key.
 		if !req.NoCache {
 			if resp, ok := s.cachedResponse(key); ok {
 				writeJSON(w, http.StatusOK, resp)
@@ -885,8 +904,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		// Owner unreachable: availability beats dedup. Solve here, stamped.
-		resp, err := s.solveOne(r.Context(), creq, req.NoCache)
+		// Owner unreachable: availability beats dedup. Solve here, stamped;
+		// the tiers were already consulted above.
+		resp, err := s.solveOne(r.Context(), creq, true)
 		if err != nil {
 			s.writeSolveErr(w, r, err)
 			return
@@ -928,7 +948,7 @@ func (s *Server) buildSweepPlan(req api.SweepRequest) (*sweepPlan, int, error) {
 	}
 	plan := &sweepPlan{
 		wl:     wl,
-		method: req.EffectiveMethod(),
+		method: req.Method,
 		resp: api.SweepResponse{
 			MinBudget:         wl.MinBudget(),
 			CheckpointAllPeak: wl.CheckpointAllPeak(),
@@ -1037,7 +1057,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		writeErr(w, r, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

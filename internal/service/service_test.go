@@ -54,7 +54,9 @@ func chainSpec(n int) *api.GraphSpec {
 	return s
 }
 
-func postSolve(t *testing.T, ts *httptest.Server, req api.SolveRequest) (*api.SolveResponse, *http.Response) {
+// postSolve posts req (an api.SolveRequest, or a json.RawMessage for a body
+// the type cannot express) to /v1/solve.
+func postSolve(t *testing.T, ts *httptest.Server, req any) (*api.SolveResponse, *http.Response) {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader(body))
@@ -335,12 +337,12 @@ func TestValidationErrors(t *testing.T) {
 	_, ts := testServer(t)
 	cases := []struct {
 		name string
-		req  api.SolveRequest
+		req  any
 		code int
 	}{
 		{"no workload", api.SolveRequest{Budget: 6}, http.StatusBadRequest},
 		{"both workloads", api.SolveRequest{Model: "vgg16", Graph: chainSpec(4), Budget: 6}, http.StatusBadRequest},
-		{"bad solver", api.SolveRequest{Graph: chainSpec(4), Budget: 6, Solver: "quantum"}, http.StatusBadRequest},
+		{"bad solver", json.RawMessage(`{"graph":{"nodes":[{"cost":1,"mem":1}]},"budget":6,"solver":"quantum"}`), http.StatusBadRequest},
 		{"zero budget", api.SolveRequest{Graph: chainSpec(4)}, http.StatusBadRequest},
 		{"unknown model", api.SolveRequest{Model: "nope", Budget: 6}, http.StatusBadRequest},
 		{"out-of-range self edge", api.SolveRequest{Graph: &api.GraphSpec{

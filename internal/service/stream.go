@@ -262,12 +262,12 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	req, err := solveRequestFromQuery(r)
+	req, err := api.ParseSolveQuery(r.URL.Query())
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
-	creq, err := s.solveRequest(req.EffectiveMethod(), req.Budget, req.TimeLimitMS, req.RelGap)
+	creq, err := s.solveRequest(req.Method, req.Budget, req.TimeLimitMS, req.RelGap)
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -287,14 +287,16 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 	// stream opens with a degraded frame and whose done result carries the
 	// fleet_local stamp — the same story the blocking endpoint tells.
 	var fleetOwner string
+	var cached *api.SolveResponse // a local hit found while routing
+	skipLookup := req.NoCache
 	if owner, ok := s.forwardTarget(r, key.String()); ok {
-		cachedLocally := false
 		if !req.NoCache {
-			// Cached locally: stream the local (instant) solve rather than
-			// relaying; solveOne below hits the same cache.
-			_, cachedLocally = s.cachedResponse(key)
+			// Cached locally: stream the hit rather than relaying. Either
+			// way the tiers have now been consulted for this request.
+			cached, _ = s.cachedResponse(key)
+			skipLookup = true
 		}
-		if !cachedLocally {
+		if cached == nil {
 			if s.relayStream(w, r, flusher, owner) {
 				return
 			}
@@ -317,7 +319,11 @@ func (s *Server) handleSolveStream(w http.ResponseWriter, r *http.Request) {
 				Reason: "fleet owner unreachable; solving locally",
 			})
 		}
-		resp, err := s.solveOne(ctx, creq, req.NoCache)
+		resp := cached
+		var err error
+		if resp == nil {
+			resp, err = s.solveOne(ctx, creq, skipLookup)
+		}
 		if err == nil && fleetOwner != "" {
 			s.stampFleetLocal(resp, fleetOwner)
 		}
@@ -407,61 +413,4 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, flusher http.F
 func writeSSE(w io.Writer, ev api.StreamEvent) error {
 	_, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.ID, ev.Event, ev.Data)
 	return err
-}
-
-// solveRequestFromQuery decodes the SSE endpoint's query parameters into
-// the same SolveRequest shape POST /v1/solve reads from its body.
-func solveRequestFromQuery(r *http.Request) (api.SolveRequest, error) {
-	q := r.URL.Query()
-	req := api.SolveRequest{
-		Model:  q.Get("model"),
-		Device: q.Get("device"),
-		Method: q.Get("method"),
-		Solver: q.Get("solver"),
-	}
-	intOf := func(name string) (int64, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		return n, nil
-	}
-	var err error
-	var n int64
-	if n, err = intOf("batch"); err != nil {
-		return req, err
-	}
-	req.Batch = int(n)
-	if n, err = intOf("coarse_segments"); err != nil {
-		return req, err
-	}
-	req.CoarseSegments = int(n)
-	if req.Budget, err = intOf("budget"); err != nil {
-		return req, err
-	}
-	if req.TimeLimitMS, err = intOf("time_limit_ms"); err != nil {
-		return req, err
-	}
-	if v := q.Get("rel_gap"); v != "" {
-		if req.RelGap, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, fmt.Errorf("parameter rel_gap: %v", err)
-		}
-	}
-	if v := q.Get("no_cache"); v != "" {
-		if req.NoCache, err = strconv.ParseBool(v); err != nil {
-			return req, fmt.Errorf("parameter no_cache: %v", err)
-		}
-	}
-	if v := q.Get("graph"); v != "" {
-		var spec api.GraphSpec
-		if err := json.Unmarshal([]byte(v), &spec); err != nil {
-			return req, fmt.Errorf("parameter graph: %v", err)
-		}
-		req.Graph = &spec
-	}
-	return req, nil
 }

@@ -4,12 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 
 	"repro/internal/service/api"
 	"repro/internal/telemetry"
@@ -36,7 +32,7 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, http.StatusInternalServerError, "streaming unsupported by this connection")
 		return
 	}
-	req, err := sweepRequestFromQuery(r)
+	req, err := api.ParseSweepQuery(r.URL.Query())
 	if err != nil {
 		writeErr(w, r, http.StatusBadRequest, "%v", err)
 		return
@@ -107,71 +103,4 @@ func sweepStreamKey(plan *sweepPlan) string {
 		io.WriteString(h, "\x00"+p.Key().String())
 	}
 	return "sweep/" + hex.EncodeToString(h.Sum(nil)[:16])
-}
-
-// sweepRequestFromQuery decodes the SSE sweep endpoint's query parameters
-// into the same SweepRequest shape POST /v1/sweep reads from its body.
-// Budgets is a comma-separated list of byte counts.
-func sweepRequestFromQuery(r *http.Request) (api.SweepRequest, error) {
-	q := r.URL.Query()
-	req := api.SweepRequest{
-		Model:  q.Get("model"),
-		Device: q.Get("device"),
-		Method: q.Get("method"),
-		Solver: q.Get("solver"),
-	}
-	intOf := func(name string) (int64, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %v", name, err)
-		}
-		return n, nil
-	}
-	var err error
-	var n int64
-	if n, err = intOf("batch"); err != nil {
-		return req, err
-	}
-	req.Batch = int(n)
-	if n, err = intOf("coarse_segments"); err != nil {
-		return req, err
-	}
-	req.CoarseSegments = int(n)
-	if n, err = intOf("points"); err != nil {
-		return req, err
-	}
-	req.Points = int(n)
-	if req.TimeLimitMS, err = intOf("time_limit_ms"); err != nil {
-		return req, err
-	}
-	if v := q.Get("rel_gap"); v != "" {
-		if req.RelGap, err = strconv.ParseFloat(v, 64); err != nil {
-			return req, fmt.Errorf("parameter rel_gap: %v", err)
-		}
-	}
-	if v := q.Get("budgets"); v != "" {
-		for _, part := range strings.Split(v, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			b, err := strconv.ParseInt(part, 10, 64)
-			if err != nil {
-				return req, fmt.Errorf("parameter budgets: %q: %v", part, err)
-			}
-			req.Budgets = append(req.Budgets, b)
-		}
-	}
-	if v := q.Get("graph"); v != "" {
-		var spec api.GraphSpec
-		if err := json.Unmarshal([]byte(v), &spec); err != nil {
-			return req, fmt.Errorf("parameter graph: %v", err)
-		}
-		req.Graph = &spec
-	}
-	return req, nil
 }
