@@ -358,7 +358,7 @@ func BenchmarkServiceSolve(b *testing.B) {
 func BenchmarkMILPWarmStart(b *testing.B) {
 	g := trainGraph(b, 10)
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budget := minB + (peak-minB)/5 // tight budget => real search tree
 	for _, mode := range []struct {
 		name string
@@ -385,7 +385,7 @@ func BenchmarkMILPWarmStart(b *testing.B) {
 func BenchmarkSweepWarmStart(b *testing.B) {
 	g := trainGraph(b, 10)
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budgets := make([]int64, 5)
 	for i := range budgets {
 		budgets[i] = minB + (peak-minB)*int64(i+1)/int64(len(budgets))
@@ -416,7 +416,7 @@ func BenchmarkSweepWarmStart(b *testing.B) {
 func BenchmarkParallelBB(b *testing.B) {
 	g := trainGraph(b, 10)
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budget := minB + (peak-minB)/5
 	for _, threads := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {

@@ -43,7 +43,7 @@ const (
 	// time out inside their own setup.
 	anytimeMinSlice = 25 * time.Millisecond
 	// anytimeSkipFactor governs when a rung is skipped outright: its
-	// unclamped admission estimate (in ~ms) must exceed this multiple of
+	// solve-cost estimate (in ~ms) must exceed this multiple of
 	// its slice. The estimates are rough by design, so the factor is
 	// generous — a rung is only skipped when it is hopeless, not merely
 	// expensive, since even a cut-short optimal search often yields a
@@ -78,13 +78,12 @@ func classifyRungErr(err error) DegradedCode {
 // transitions are announced as Degraded events — and the winning rung's
 // schedule is stamped with the degradation record.
 func (w *Workload) solveAnytimeRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
-	opt := req.options()
-	if opt.Unpartitioned {
+	if req.Unpartitioned {
 		// Only the MILP honors Unpartitioned; a fallback rung would silently
 		// solve a different problem.
 		return nil, fmt.Errorf("checkmate: Method %q requires frontier-advancing stages (Unpartitioned is %q-only)", Anytime, Optimal)
 	}
-	deadline := time.Now().Add(opt.TimeLimit)
+	deadline := time.Now().Add(req.timeLimit())
 
 	var failures []rungFailure
 	for i, rung := range anytimeLadder {
@@ -108,9 +107,9 @@ func (w *Workload) solveAnytimeRequest(ctx context.Context, req Request, em *emi
 		// could have used the time. The closed-form rungs (Approx, Baseline)
 		// are never skipped — they are the safety net.
 		if rung.method == Optimal || rung.method == Interval {
-			unclamped := opt
-			unclamped.TimeLimit = 0
-			if est := w.EstimateSolveCostFor(rung.method, req.Budget, unclamped); est > anytimeSkipFactor*float64(slice.Milliseconds()+1) {
+			probe := req
+			probe.Method = rung.method
+			if est := w.EstimateSolveCostFor(probe); est > anytimeSkipFactor*float64(slice.Milliseconds()+1) {
 				f := rungFailure{
 					method: rung.method,
 					code:   DegradedSkipped,

@@ -152,44 +152,38 @@ func (w *Workload) Fingerprint() graph.Fingerprint {
 const autoDeadlineHeadroom = 4
 
 // autoResolve maps Method Auto onto the concrete method it runs for this
-// workload, budget, and option set: Optimal at or below AutoMethodThreshold
-// nodes, Interval above — unless the preferred method's projected solve
+// workload and the request's budget and solver knobs: Optimal at or below
+// AutoMethodThreshold nodes, Interval above — unless the preferred method's projected solve
 // cost clearly overruns the deadline, in which case the request routes to
 // the Anytime fallback ladder so a tight deadline degrades schedule quality
 // instead of failing with ErrSolveLimit. The decision is a pure function of
 // the workload and the request knobs, so routing — and therefore cache
 // keys — agree across processes.
-func (w *Workload) autoResolve(budget int64, opt SolveOptions) Method {
+func (w *Workload) autoResolve(req Request) Method {
 	m := Optimal
 	if w.Graph.Len() > AutoMethodThreshold {
 		m = Interval
 	}
 	// Unpartitioned is Optimal-only; the fallback rungs would silently solve
 	// a different problem, so Auto never reroutes such a request.
-	if opt.Unpartitioned {
+	if req.Unpartitioned {
 		return m
 	}
-	if opt.TimeLimit == 0 {
-		opt.TimeLimit = 60 * time.Second
-	}
-	// Compare the deadline against the method's unclamped projection — the
-	// clamp in EstimateSolveCostFor exists precisely to hide the overrun
-	// this decision needs to see.
-	unclamped := opt
-	unclamped.TimeLimit = 0
-	if w.EstimateSolveCostFor(m, budget, unclamped) > autoDeadlineHeadroom*float64(opt.TimeLimit.Milliseconds()) {
+	req.Method = m
+	if w.EstimateSolveCostFor(req) > autoDeadlineHeadroom*float64(req.timeLimit().Milliseconds()) {
 		return Anytime
 	}
 	return m
 }
 
 // EstimateSolveCostFor predicts the expense of solving this workload at the
-// given budget under method m, in abstract cost units roughly proportional
-// to solver milliseconds on a reference core. It is deliberately cheap (no
-// LP is built) and deliberately rough: its consumer is admission control in
-// the planning service, which needs relative ordering — "this request is
-// ~1000× that one" — not wall-clock accuracy, and recalibrates the scale
-// online from observed solve times.
+// request's budget under its method and solver knobs (req.Workload is not
+// consulted), in abstract cost units roughly proportional to solver
+// milliseconds on a reference core. It is deliberately cheap (no LP is
+// built) and deliberately rough: its consumer is admission control in the
+// planning service, which needs relative ordering — "this request is ~1000×
+// that one" — not wall-clock accuracy, and recalibrates the scale online
+// from observed solve times.
 //
 // The shape of the estimate follows the solver's actual cost drivers:
 //
@@ -208,22 +202,19 @@ func (w *Workload) autoResolve(budget int64, opt SolveOptions) Method {
 //     integer search; proving exact optimality (RelGap ≈ 0) costs extra
 //     branch-and-bound relative to accepting a gap; parallel tree search
 //     (Threads) divides wall-clock by a conservatively assumed ~50%
-//     efficiency. Baseline is costed like Optimal. So is Anytime, clamped
-//     at its deadline (60 s when none is set): the ladder may spend the
-//     entire deadline across its rungs, so admission budgets for the worst
-//     case. Auto is costed as the method it resolves to.
+//     efficiency. Baseline is costed like Optimal. So is Anytime: the
+//     ladder may spend its entire deadline across its rungs, so admission
+//     budgets for the worst case. Auto is costed as the method it resolves
+//     to.
 //
-// The result is clamped to [1, TimeLimit in ms]: the time limit is a hard
-// ceiling on how much work the solver is allowed to do.
-func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions) float64 {
+// The result is at least 1 and is not capped by the request's time limit:
+// admission caps it there, since the limit is a hard ceiling on the solver's
+// work, while Auto routing and the anytime ladder compare the uncapped
+// projection against their deadlines.
+func (w *Workload) EstimateSolveCostFor(req Request) float64 {
+	m, budget := req.Method, req.Budget
 	if m == Auto {
-		m = w.autoResolve(budget, opt)
-	}
-	if m == Anytime {
-		m = Optimal
-		if opt.TimeLimit == 0 {
-			opt.TimeLimit = 60 * time.Second
-		}
+		m = w.autoResolve(req)
 	}
 	n := float64(w.Graph.Len())
 	if n <= 0 {
@@ -255,37 +246,28 @@ func (w *Workload) EstimateSolveCostFor(m Method, budget int64, opt SolveOptions
 	case Approx:
 		cost *= 0.25
 	default:
-		if opt.RelGap < 1e-4 {
+		if req.RelGap < 1e-4 {
 			// Proving optimality (the default) pays for the full gap-closing
 			// search; a caller-accepted gap stops early.
 			cost *= 2
 		}
-		if opt.Threads > 1 {
+		if req.Threads > 1 {
 			// Parallel tree search shortens the wall clock the admission
 			// budget is calibrated against — but tree shapes rarely keep
 			// every worker busy, so assume a deliberately conservative ~50%
 			// efficiency. Under-discounting only delays admission;
 			// over-discounting admits more concurrent solver work than the
 			// budget intends, each solve additionally holding Threads cores.
-			cost /= 1 + 0.5*float64(opt.Threads-1)
+			cost /= 1 + 0.5*float64(req.Threads-1)
 		}
 	}
-
-	if opt.TimeLimit > 0 {
-		if lim := float64(opt.TimeLimit.Milliseconds()); cost > lim {
-			cost = lim
-		}
-	}
-	if cost < 1 {
-		cost = 1
-	}
-	return cost
+	return max(cost, 1)
 }
 
 // CheckpointAllPeak returns the peak memory of the no-rematerialization
 // policy — the budget above which rematerialization is unnecessary.
 func (w *Workload) CheckpointAllPeak() int64 {
-	return int64(core.CheckpointAll(w.Graph).Peak(w.Graph, w.Overhead))
+	return core.CheckpointAll(w.Graph).Peak(w.Graph, w.Overhead)
 }
 
 // MinBudget returns a lower bound on any feasible budget.
@@ -304,22 +286,6 @@ var (
 	// solver's limits were exhausted.
 	ErrSolveLimit = errors.New("checkmate: no feasible schedule found within solver limits")
 )
-
-// SolveOptions are the solver knobs of a Request that admission estimates
-// (EstimateSolveCostFor) depend on.
-type SolveOptions struct {
-	// TimeLimit mirrors the paper's 3600 s solver limit (default 60 s).
-	TimeLimit time.Duration
-	// RelGap is the accepted relative optimality gap (default 1e-6: solve
-	// to proven optimality).
-	RelGap float64
-	// Unpartitioned disables frontier-advancing stages (Appendix A).
-	Unpartitioned bool
-	// Threads is the number of parallel branch-and-bound workers (0 or 1 =
-	// serial). Any value proves the same optimal objective; only wall-clock
-	// and, among cost ties, the particular schedule may differ.
-	Threads int
-}
 
 // DegradedCode classifies why a schedule was served degraded. The type is a
 // closed vocabulary — every value is one of the constants below — so its

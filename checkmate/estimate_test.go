@@ -27,11 +27,10 @@ func chainWorkload(t testing.TB, n int) *Workload {
 }
 
 func TestEstimateSolveCostGrowsWithGraphSize(t *testing.T) {
-	opt := SolveOptions{TimeLimit: time.Hour}
 	small := chainWorkload(t, 10)
 	large := chainWorkload(t, 100)
-	cs := small.EstimateSolveCostFor(Optimal, small.CheckpointAllPeak(), opt)
-	cl := large.EstimateSolveCostFor(Optimal, large.CheckpointAllPeak(), opt)
+	cs := small.EstimateSolveCostFor(Request{Method: Optimal, Budget: small.CheckpointAllPeak()})
+	cl := large.EstimateSolveCostFor(Request{Method: Optimal, Budget: large.CheckpointAllPeak()})
 	if cl <= cs {
 		t.Fatalf("100-node estimate %v not above 10-node estimate %v", cl, cs)
 	}
@@ -43,13 +42,15 @@ func TestEstimateSolveCostGrowsWithGraphSize(t *testing.T) {
 
 func TestEstimateSolveCostGrowsWithBudgetTightness(t *testing.T) {
 	wl := chainWorkload(t, 40)
-	opt := SolveOptions{TimeLimit: time.Hour}
-	loose := wl.EstimateSolveCostFor(Optimal, wl.CheckpointAllPeak(), opt)
-	tight := wl.EstimateSolveCostFor(Optimal, wl.MinBudget(), opt)
+	at := func(budget int64) float64 {
+		return wl.EstimateSolveCostFor(Request{Method: Optimal, Budget: budget})
+	}
+	loose := at(wl.CheckpointAllPeak())
+	tight := at(wl.MinBudget())
 	if tight <= loose {
 		t.Fatalf("tight-budget estimate %v not above loose-budget %v", tight, loose)
 	}
-	mid := wl.EstimateSolveCostFor(Optimal, (wl.MinBudget()+wl.CheckpointAllPeak())/2, opt)
+	mid := at((wl.MinBudget() + wl.CheckpointAllPeak()) / 2)
 	if mid <= loose || mid >= tight {
 		t.Fatalf("mid-budget estimate %v not between %v and %v", mid, loose, tight)
 	}
@@ -57,80 +58,67 @@ func TestEstimateSolveCostGrowsWithBudgetTightness(t *testing.T) {
 
 func TestEstimateSolveCostApproxCheaperThanOptimal(t *testing.T) {
 	wl := chainWorkload(t, 40)
-	opt := SolveOptions{TimeLimit: time.Hour}
 	budget := (wl.MinBudget() + wl.CheckpointAllPeak()) / 2
-	optimal := wl.EstimateSolveCostFor(Optimal, budget, opt)
-	apx := wl.EstimateSolveCostFor(Approx, budget, opt)
+	optimal := wl.EstimateSolveCostFor(Request{Method: Optimal, Budget: budget})
+	apx := wl.EstimateSolveCostFor(Request{Method: Approx, Budget: budget})
 	if apx >= optimal {
 		t.Fatalf("approx estimate %v not below optimal estimate %v", apx, optimal)
 	}
 	// Accepting an optimality gap must not cost more than proving exactness.
-	gap := wl.EstimateSolveCostFor(Optimal, budget, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05})
+	gap := wl.EstimateSolveCostFor(Request{Method: Optimal, Budget: budget, RelGap: 0.05})
 	if gap > optimal {
 		t.Fatalf("gap-accepting estimate %v above prove-optimal estimate %v", gap, optimal)
 	}
 }
 
-func TestEstimateSolveCostCappedByTimeLimit(t *testing.T) {
-	wl := chainWorkload(t, 500)
-	got := wl.EstimateSolveCostFor(Optimal, wl.MinBudget(), SolveOptions{TimeLimit: 100 * time.Millisecond})
-	if got > 100 {
-		t.Fatalf("estimate %v exceeds the 100 ms time-limit cap", got)
-	}
-	if got < 1 {
-		t.Fatalf("estimate %v below the floor of 1", got)
-	}
-}
-
-// TestEstimateSolveCostForGolden pins every method's admission estimate bit
-// for bit on fixed chain workloads, budgets and option sets. The values were
-// recorded before the optimal/approx estimate was folded into
-// EstimateSolveCostFor; admission calibration history depends on them not
-// drifting.
+// TestEstimateSolveCostForGolden pins every method's admission estimate,
+// capped at the request's time limit as admission caps it, bit for bit on
+// fixed chain workloads, budgets and solver knobs. Admission calibration
+// history depends on the values not drifting.
 func TestEstimateSolveCostForGolden(t *testing.T) {
 	methods := [6]Method{Optimal, Approx, Baseline, Interval, Anytime, Auto}
 	cases := []struct {
 		nodes  int
 		budget int64
-		opt    SolveOptions
+		knobs  Request
 		bits   [6]uint64
 	}{
-		{40, 2, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x409f9f6e4990f228}},
-		{40, 2, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40794c583ada5b53, 0x406f9f6e4990f228, 0x40794c583ada5b53, 0x406f9f6e4990f228, 0x40794c583ada5b53, 0x40794c583ada5b53}},
-		{40, 2, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x409f9f6e4990f228}},
-		{40, 2, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
-		{40, 2, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x408f9f6e4990f228}},
-		{40, 2, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x408f9f6e4990f228}},
-		{40, 21, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40848e07afd16a33}},
-		{40, 21, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4060719fbfdabb5c, 0x40548e07afd16a33, 0x4060719fbfdabb5c, 0x40548e07afd16a33, 0x4060719fbfdabb5c, 0x4060719fbfdabb5c}},
-		{40, 21, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40848e07afd16a33}},
-		{40, 21, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x40548e07afd16a33, 0x4059000000000000, 0x40548e07afd16a33, 0x4059000000000000, 0x4059000000000000}},
-		{40, 21, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40748e07afd16a33}},
-		{40, 21, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40748e07afd16a33}},
-		{40, 40, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40694c583ada5b53}},
-		{40, 40, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40443d136248490f, 0x40394c583ada5b53, 0x40443d136248490f, 0x40394c583ada5b53, 0x40443d136248490f, 0x40443d136248490f}},
-		{40, 40, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40694c583ada5b53}},
-		{40, 40, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x40394c583ada5b53, 0x4059000000000000, 0x40394c583ada5b53, 0x4059000000000000, 0x4059000000000000}},
-		{40, 40, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40594c583ada5b53}},
-		{40, 40, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40594c583ada5b53}},
-		{100, 2, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40d3880000000000, 0x40a3880000000000, 0x40d3880000000000, 0x408f400000000000, 0x40d3880000000000, 0x408f400000000000}},
-		{100, 2, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40af400000000000, 0x40a3880000000000, 0x40af400000000000, 0x408f400000000000, 0x40af400000000000, 0x408f400000000000}},
-		{100, 2, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40d3880000000000, 0x40a3880000000000, 0x40d3880000000000, 0x408f400000000000, 0x40d3880000000000, 0x408f400000000000}},
-		{100, 2, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
-		{100, 2, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40c3880000000000, 0x40a3880000000000, 0x40c3880000000000, 0x408f400000000000, 0x40c3880000000000, 0x408f400000000000}},
-		{100, 2, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40c3880000000000, 0x40a3880000000000, 0x40c3880000000000, 0x408f400000000000, 0x40c3880000000000, 0x408f400000000000}},
-		{100, 51, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40b9640000000000, 0x4089640000000000, 0x40b9640000000000, 0x4074500000000000, 0x40b9640000000000, 0x4074500000000000}},
-		{100, 51, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4094500000000000, 0x4089640000000000, 0x4094500000000000, 0x4074500000000000, 0x4094500000000000, 0x4074500000000000}},
-		{100, 51, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40b9640000000000, 0x4089640000000000, 0x40b9640000000000, 0x4074500000000000, 0x40b9640000000000, 0x4074500000000000}},
-		{100, 51, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
-		{100, 51, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40a9640000000000, 0x4089640000000000, 0x40a9640000000000, 0x4074500000000000, 0x40a9640000000000, 0x4074500000000000}},
-		{100, 51, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40a9640000000000, 0x4089640000000000, 0x40a9640000000000, 0x4074500000000000, 0x40a9640000000000, 0x4074500000000000}},
-		{100, 100, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x409f400000000000, 0x406f400000000000, 0x409f400000000000, 0x4059000000000000, 0x409f400000000000, 0x4059000000000000}},
-		{100, 100, SolveOptions{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4079000000000000, 0x406f400000000000, 0x4079000000000000, 0x4059000000000000, 0x4079000000000000, 0x4059000000000000}},
-		{100, 100, SolveOptions{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x409f400000000000, 0x406f400000000000, 0x409f400000000000, 0x4059000000000000, 0x409f400000000000, 0x4059000000000000}},
-		{100, 100, SolveOptions{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
-		{100, 100, SolveOptions{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x408f400000000000, 0x406f400000000000, 0x408f400000000000, 0x4059000000000000, 0x408f400000000000, 0x4059000000000000}},
-		{100, 100, SolveOptions{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x408f400000000000, 0x406f400000000000, 0x408f400000000000, 0x4059000000000000, 0x408f400000000000, 0x4059000000000000}},
+		{40, 2, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x409f9f6e4990f228}},
+		{40, 2, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40794c583ada5b53, 0x406f9f6e4990f228, 0x40794c583ada5b53, 0x406f9f6e4990f228, 0x40794c583ada5b53, 0x40794c583ada5b53}},
+		{40, 2, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x406f9f6e4990f228, 0x409f9f6e4990f228, 0x409f9f6e4990f228}},
+		{40, 2, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
+		{40, 2, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x408f9f6e4990f228}},
+		{40, 2, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x406f9f6e4990f228, 0x408f9f6e4990f228, 0x408f9f6e4990f228}},
+		{40, 21, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40848e07afd16a33}},
+		{40, 21, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4060719fbfdabb5c, 0x40548e07afd16a33, 0x4060719fbfdabb5c, 0x40548e07afd16a33, 0x4060719fbfdabb5c, 0x4060719fbfdabb5c}},
+		{40, 21, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40548e07afd16a33, 0x40848e07afd16a33, 0x40848e07afd16a33}},
+		{40, 21, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x40548e07afd16a33, 0x4059000000000000, 0x40548e07afd16a33, 0x4059000000000000, 0x4059000000000000}},
+		{40, 21, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40748e07afd16a33}},
+		{40, 21, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40548e07afd16a33, 0x40748e07afd16a33, 0x40748e07afd16a33}},
+		{40, 40, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40694c583ada5b53}},
+		{40, 40, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40443d136248490f, 0x40394c583ada5b53, 0x40443d136248490f, 0x40394c583ada5b53, 0x40443d136248490f, 0x40443d136248490f}},
+		{40, 40, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40394c583ada5b53, 0x40694c583ada5b53, 0x40694c583ada5b53}},
+		{40, 40, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x40394c583ada5b53, 0x4059000000000000, 0x40394c583ada5b53, 0x4059000000000000, 0x4059000000000000}},
+		{40, 40, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40594c583ada5b53}},
+		{40, 40, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40394c583ada5b53, 0x40594c583ada5b53, 0x40594c583ada5b53}},
+		{100, 2, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40d3880000000000, 0x40a3880000000000, 0x40d3880000000000, 0x408f400000000000, 0x40d3880000000000, 0x408f400000000000}},
+		{100, 2, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x40af400000000000, 0x40a3880000000000, 0x40af400000000000, 0x408f400000000000, 0x40af400000000000, 0x408f400000000000}},
+		{100, 2, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40d3880000000000, 0x40a3880000000000, 0x40d3880000000000, 0x408f400000000000, 0x40d3880000000000, 0x408f400000000000}},
+		{100, 2, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
+		{100, 2, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40c3880000000000, 0x40a3880000000000, 0x40c3880000000000, 0x408f400000000000, 0x40c3880000000000, 0x408f400000000000}},
+		{100, 2, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40c3880000000000, 0x40a3880000000000, 0x40c3880000000000, 0x408f400000000000, 0x40c3880000000000, 0x408f400000000000}},
+		{100, 51, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x40b9640000000000, 0x4089640000000000, 0x40b9640000000000, 0x4074500000000000, 0x40b9640000000000, 0x4074500000000000}},
+		{100, 51, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4094500000000000, 0x4089640000000000, 0x4094500000000000, 0x4074500000000000, 0x4094500000000000, 0x4074500000000000}},
+		{100, 51, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x40b9640000000000, 0x4089640000000000, 0x40b9640000000000, 0x4074500000000000, 0x40b9640000000000, 0x4074500000000000}},
+		{100, 51, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
+		{100, 51, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x40a9640000000000, 0x4089640000000000, 0x40a9640000000000, 0x4074500000000000, 0x40a9640000000000, 0x4074500000000000}},
+		{100, 51, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x40a9640000000000, 0x4089640000000000, 0x40a9640000000000, 0x4074500000000000, 0x40a9640000000000, 0x4074500000000000}},
+		{100, 100, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 0}, [6]uint64{0x409f400000000000, 0x406f400000000000, 0x409f400000000000, 0x4059000000000000, 0x409f400000000000, 0x4059000000000000}},
+		{100, 100, Request{TimeLimit: 5 * time.Second, RelGap: 0.05, Threads: 4}, [6]uint64{0x4079000000000000, 0x406f400000000000, 0x4079000000000000, 0x4059000000000000, 0x4079000000000000, 0x4059000000000000}},
+		{100, 100, Request{TimeLimit: 0, RelGap: 0, Threads: 0}, [6]uint64{0x409f400000000000, 0x406f400000000000, 0x409f400000000000, 0x4059000000000000, 0x409f400000000000, 0x4059000000000000}},
+		{100, 100, Request{TimeLimit: 100 * time.Millisecond, RelGap: 0, Threads: 0}, [6]uint64{0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000, 0x4059000000000000}},
+		{100, 100, Request{TimeLimit: time.Hour, RelGap: 0.05, Threads: 0}, [6]uint64{0x408f400000000000, 0x406f400000000000, 0x408f400000000000, 0x4059000000000000, 0x408f400000000000, 0x4059000000000000}},
+		{100, 100, Request{TimeLimit: 30 * time.Second, RelGap: 0, Threads: 3}, [6]uint64{0x408f400000000000, 0x406f400000000000, 0x408f400000000000, 0x4059000000000000, 0x408f400000000000, 0x4059000000000000}},
 	}
 	workloads := map[int]*Workload{}
 	for _, tc := range cases {
@@ -140,10 +128,12 @@ func TestEstimateSolveCostForGolden(t *testing.T) {
 			workloads[tc.nodes] = wl
 		}
 		for i, m := range methods {
-			got := wl.EstimateSolveCostFor(m, tc.budget, tc.opt)
+			req := tc.knobs
+			req.Method, req.Budget = m, tc.budget
+			got := min(wl.EstimateSolveCostFor(req), float64(req.timeLimit().Milliseconds()))
 			if math.Float64bits(got) != tc.bits[i] {
-				t.Errorf("n=%d budget=%d %+v %s: estimate %v (%#016x), want %v (%#016x)",
-					tc.nodes, tc.budget, tc.opt, m, got, math.Float64bits(got), math.Float64frombits(tc.bits[i]), tc.bits[i])
+				t.Errorf("n=%d budget=%d limit=%v gap=%v threads=%d %s: estimate %v (%#016x), want %v (%#016x)",
+					tc.nodes, tc.budget, tc.knobs.TimeLimit, tc.knobs.RelGap, tc.knobs.Threads, m, got, math.Float64bits(got), math.Float64frombits(tc.bits[i]), tc.bits[i])
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func (r Request) Resolve() Method {
 	if len(r.Budgets) > 0 || r.Workload == nil || r.Workload.Graph == nil {
 		return Optimal
 	}
-	return r.Workload.autoResolve(r.Budget, r.options())
+	return r.Workload.autoResolve(r)
 }
 
 // EventKind discriminates solver progress events.
@@ -266,19 +266,12 @@ type Request struct {
 // when Request.ProgressInterval is zero.
 const DefaultProgressInterval = 100 * time.Millisecond
 
-// options normalizes the request's solver knobs into SolveOptions,
-// applying the 60 s default time limit.
-func (r Request) options() SolveOptions {
-	opt := SolveOptions{
-		TimeLimit:     r.TimeLimit,
-		RelGap:        r.RelGap,
-		Unpartitioned: r.Unpartitioned,
-		Threads:       r.Threads,
+// timeLimit is the request's time limit with the 60 s default applied.
+func (r Request) timeLimit() time.Duration {
+	if r.TimeLimit == 0 {
+		return 60 * time.Second
 	}
-	if opt.TimeLimit == 0 {
-		opt.TimeLimit = 60 * time.Second
-	}
-	return opt
+	return r.TimeLimit
 }
 
 // defaultBaseline is the heuristic Method Baseline (and the anytime
@@ -310,7 +303,7 @@ func (r Request) baseline() string {
 // with the heuristic's name in "baseline/v1". Auto keys as the method it
 // resolves to, so routing and keys agree across processes.
 func (r Request) Key() graph.Fingerprint {
-	w, opt, method := r.Workload, r.options(), r.Resolve()
+	w, method := r.Workload, r.Resolve()
 	d := graph.NewDigest()
 	switch method {
 	case Interval:
@@ -327,8 +320,8 @@ func (r Request) Key() graph.Fingerprint {
 	case Interval:
 		// Both knobs bound the interval search and change which incumbent
 		// it returns, exactly like the optimal path.
-		d.Int64(int64(opt.TimeLimit))
-		d.Float64(opt.RelGap)
+		d.Int64(int64(r.timeLimit()))
+		d.Float64(r.RelGap)
 		return d.Sum()
 	case Anytime:
 		// The deadline shapes the ladder's slices — and thereby which rung
@@ -336,10 +329,10 @@ func (r Request) Key() graph.Fingerprint {
 		// solver knobs the rungs inherit, and so is the last rung's
 		// heuristic. The default heuristic is not digested, keeping keys
 		// from older stores valid.
-		d.Int64(int64(opt.TimeLimit))
-		d.Float64(opt.RelGap)
-		if opt.Threads > 1 {
-			d.Int64(int64(opt.Threads))
+		d.Int64(int64(r.timeLimit()))
+		d.Float64(r.RelGap)
+		if r.Threads > 1 {
+			d.Int64(int64(r.Threads))
 		}
 		if name := r.baseline(); name != defaultBaseline {
 			d.String(name)
@@ -351,15 +344,15 @@ func (r Request) Key() graph.Fingerprint {
 	// TimeLimit is part of the key for every method: it bounds the optimal
 	// search directly and the approximation via context timeout, so requests
 	// with different limits may legitimately produce different schedules.
-	d.Int64(int64(opt.TimeLimit))
+	d.Int64(int64(r.timeLimit()))
 	if !approximate {
-		d.Float64(opt.RelGap)
-		d.Bool(opt.Unpartitioned)
+		d.Float64(r.RelGap)
+		d.Bool(r.Unpartitioned)
 		// Parallel search may return a different (equally optimal) schedule
 		// among cost ties, so Threads is part of the key. Serial solves (0
 		// or 1) are not digested, keeping keys from older stores valid.
-		if opt.Threads > 1 {
-			d.Int64(int64(opt.Threads))
+		if r.Threads > 1 {
+			d.Int64(int64(r.Threads))
 		}
 	}
 	if method != Baseline {
@@ -452,12 +445,11 @@ func (w *Workload) Solve(ctx context.Context, req Request) (*Schedule, error) {
 
 // solveOptimalRequest runs the MILP path with progress hooks attached.
 func (w *Workload) solveOptimalRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
-	opt := req.options()
 	res, err := core.SolveILPCtx(ctx, core.Instance{G: w.Graph, Budget: req.Budget, Overhead: w.Overhead}, core.SolveOptions{
-		TimeLimit:     opt.TimeLimit,
-		RelGap:        opt.RelGap,
-		Unpartitioned: opt.Unpartitioned,
-		Threads:       opt.Threads,
+		TimeLimit:     req.timeLimit(),
+		RelGap:        req.RelGap,
+		Unpartitioned: req.Unpartitioned,
+		Threads:       req.Threads,
 		Progress:      em.coreHooks(),
 	})
 	if err != nil {
@@ -472,12 +464,11 @@ func (w *Workload) solveOptimalRequest(ctx context.Context, req Request, em *emi
 // Incumbent/BoundImproved gaps mean the same thing they do on the optimal
 // path.
 func (w *Workload) solveIntervalRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
-	opt := req.options()
-	if opt.Unpartitioned {
+	if req.Unpartitioned {
 		return nil, fmt.Errorf("checkmate: Method %q requires frontier-advancing stages (Unpartitioned is %q-only)", Interval, Optimal)
 	}
 	hooks := em.coreHooks()
-	iopt := interval.Options{TimeLimit: opt.TimeLimit, RelGap: opt.RelGap}
+	iopt := interval.Options{TimeLimit: req.timeLimit(), RelGap: req.RelGap}
 	if hooks.Started != nil {
 		budget := req.Budget
 		iopt.OnStart = func(vars, rows int) { hooks.Started(budget, vars, rows) }
@@ -510,11 +501,10 @@ func (w *Workload) resultSchedule(ctx context.Context, res *core.Result, budget 
 // solveApproxRequest runs the two-phase-rounding ε-search under the
 // request's time limit, reporting feasible roundings as incumbents.
 func (w *Workload) solveApproxRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
-	opt := req.options()
 	// The ε-search has no internal wall clock; Request.TimeLimit is
 	// enforced as a context deadline (it previously went ignored on this
 	// path — callers had to wrap the context themselves).
-	tctx, cancel := context.WithTimeout(ctx, opt.TimeLimit)
+	tctx, cancel := context.WithTimeout(ctx, req.timeLimit())
 	defer cancel()
 	em.started(req.Budget, 0, 0)
 	best := math.Inf(1)
@@ -567,7 +557,7 @@ const baselineGreedySteps = 12
 // limit are honored at the step boundaries (they are milliseconds-scale on
 // any graph the system admits).
 func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *emitter) (*Schedule, error) {
-	tctx, cancel := context.WithTimeout(ctx, req.options().TimeLimit)
+	tctx, cancel := context.WithTimeout(ctx, req.timeLimit())
 	defer cancel()
 	if err := tctx.Err(); err != nil {
 		return nil, baselineCtxErr(err)
@@ -611,7 +601,7 @@ func (w *Workload) solveBaselineRequest(ctx context.Context, req Request, em *em
 	var best *baselines.Point
 	for i := range pts {
 		pt := &pts[i]
-		if pt.PeakBytes > float64(req.Budget) {
+		if pt.PeakBytes > req.Budget {
 			continue
 		}
 		if best == nil || pt.Cost < best.Cost {
@@ -641,7 +631,6 @@ func baselineCtxErr(err error) error {
 // Done must name the budget of the schedule it carries, not whichever point
 // happened to solve last. On error the budget is req.Budget.
 func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitter) (*Schedule, int64, error) {
-	opt := req.options()
 	points := make([]SweepPoint, len(req.Budgets))
 	var finishErr error
 	hooks := em.coreHooks()
@@ -663,10 +652,10 @@ func (w *Workload) solveSweepRequest(ctx context.Context, req Request, em *emitt
 		em.sweepPoint(i, &pt)
 	}
 	_, err := core.SweepILP(ctx, core.Instance{G: w.Graph, Overhead: w.Overhead}, req.Budgets, core.SolveOptions{
-		TimeLimit:     opt.TimeLimit,
-		RelGap:        opt.RelGap,
-		Unpartitioned: opt.Unpartitioned,
-		Threads:       opt.Threads,
+		TimeLimit:     req.timeLimit(),
+		RelGap:        req.RelGap,
+		Unpartitioned: req.Unpartitioned,
+		Threads:       req.Threads,
 		Progress:      hooks,
 	})
 	if err != nil {

@@ -155,6 +155,12 @@ func TestSolveBaselineMethod(t *testing.T) {
 	if sched.Optimal {
 		t.Fatal("baseline claims optimality")
 	}
+	// ...and not one byte under it.
+	if _, err := Solve(context.Background(), Request{
+		Workload: wl, Method: Baseline, Budget: peak - 1,
+	}); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("checkpoint-all one byte under its peak: err = %v, want ErrInfeasible", err)
+	}
 	// A sqrt(n) baseline must fit a budget checkpoint-all cannot.
 	under := wl.MinBudget() + (peak-wl.MinBudget())*3/4
 	if _, err := Solve(context.Background(), Request{

@@ -38,26 +38,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	report := func(name string, cost, peakBytes float64, ok bool) {
+	report := func(name string, cost float64, peakBytes int64, ok bool) {
 		if !ok {
 			fmt.Printf("  %-22s does not fit 16 GiB\n", name)
 			return
 		}
-		fmt.Printf("  %-22s overhead %.3fx  peak %.2f GiB\n", name, cost/ideal, gib(int64(peakBytes)))
+		fmt.Printf("  %-22s overhead %.3fx  peak %.2f GiB\n", name, cost/ideal, gib(peakBytes))
 	}
 
 	// Prior-work heuristics, generalized to U-Net's non-linear graph.
 	fmt.Println("strategies at the 16 GiB budget:")
 	ca := baselines.CheckpointAll(tg)
-	report("checkpoint-all", ca.Cost, ca.PeakBytes, ca.PeakBytes <= float64(v100))
+	report("checkpoint-all", ca.Cost, ca.PeakBytes, ca.PeakBytes <= v100)
 	ap := baselines.APSqrtN(tg)
-	report("AP sqrt(n)", ap.Cost, ap.PeakBytes, ap.PeakBytes <= float64(v100))
+	report("AP sqrt(n)", ap.Cost, ap.PeakBytes, ap.PeakBytes <= v100)
 	if pts, err := baselines.GreedySweep(tg, "linearized-greedy", 10); err == nil {
-		best, ok := cheapestUnder(pts, float64(v100))
+		best, ok := cheapestUnder(pts, v100)
 		report("linearized greedy", best.Cost, best.PeakBytes, ok)
 	}
 	if pts, err := baselines.GreedySweep(tg, "ap-greedy", 10); err == nil {
-		best, ok := cheapestUnder(pts, float64(v100))
+		best, ok := cheapestUnder(pts, v100)
 		report("AP greedy", best.Cost, best.PeakBytes, ok)
 	}
 
@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	report("checkmate (optimal)", sched.Cost, float64(sched.PeakBytes), true)
+	report("checkmate (optimal)", sched.Cost, sched.PeakBytes, true)
 
 	// And the polynomial-time approximation.
 	apx, err := checkmate.Solve(ctx, checkmate.Request{
@@ -78,14 +78,14 @@ func main() {
 		TimeLimit: 90 * time.Second,
 	})
 	if err == nil {
-		report("checkmate (approx)", apx.Cost, float64(apx.PeakBytes), true)
+		report("checkmate (approx)", apx.Cost, apx.PeakBytes, true)
 	}
 
 	fmt.Println("\ntakeaway: the optimizer fits the 16 GiB card with the least extra compute,")
 	fmt.Println("matching the shape of paper Figure 5c.")
 }
 
-func cheapestUnder(pts []baselines.Point, budget float64) (baselines.Point, bool) {
+func cheapestUnder(pts []baselines.Point, budget int64) (baselines.Point, bool) {
 	var best baselines.Point
 	found := false
 	for _, p := range pts {

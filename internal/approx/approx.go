@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/lp"
 	"repro/internal/telemetry"
 )
@@ -67,7 +66,7 @@ type Result struct {
 	Cost  float64
 	LPObj float64
 	// PeakBytes is the schedule's peak memory including overhead.
-	PeakBytes float64
+	PeakBytes int64
 	// Feasible records whether the schedule fits the original budget.
 	Feasible bool
 	// Search describes the whole ε-search's LP work (set on results
@@ -240,8 +239,6 @@ func finish(inst core.Instance, s *core.Sched, lpObj float64) *Result {
 		Cost:      s.Cost(inst.G),
 		LPObj:     lpObj,
 		PeakBytes: peak,
-		Feasible:  peak <= float64(inst.Budget),
+		Feasible:  peak <= inst.Budget,
 	}
 }
-
-var _ = graph.NodeID(0)

@@ -179,3 +179,20 @@ func TestSearchWarmStartChaining(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFeasibleIsExactAtPeak: a rounded schedule is feasible at a budget
+// equal to its peak and not one byte less.
+func TestFeasibleIsExactAtPeak(t *testing.T) {
+	inst := trainInstance(t, 4, 0)
+	ca := core.CheckpointAll(inst.G)
+	peak := ca.Peak(inst.G, inst.Overhead)
+	for _, tc := range []struct {
+		budget int64
+		fits   bool
+	}{{peak, true}, {peak - 1, false}} {
+		inst.Budget = tc.budget
+		if r := finish(inst, ca, 0); r.Feasible != tc.fits || r.PeakBytes != peak {
+			t.Errorf("budget %d: feasible=%v peak %d, want feasible=%v peak %d", tc.budget, r.Feasible, r.PeakBytes, tc.fits, peak)
+		}
+	}
+}

@@ -48,7 +48,7 @@ type Point struct {
 	// Cost is the total computation cost of the schedule.
 	Cost float64
 	// PeakBytes is the schedule's peak memory including overhead.
-	PeakBytes float64
+	PeakBytes int64
 }
 
 func (t *Target) point(strategy, param string, s *core.Sched) Point {

@@ -266,7 +266,7 @@ func TestILPDominatesBaselines(t *testing.T) {
 	}
 	pts = append(pts, APSqrtN(tg), LinearizedSqrtN(tg), LinearizedGreedy(tg, 3))
 	for _, p := range pts {
-		res, err := core.SolveILPCtx(context.Background(), core.Instance{G: g, Budget: int64(p.PeakBytes)}, core.SolveOptions{})
+		res, err := core.SolveILPCtx(context.Background(), core.Instance{G: g, Budget: p.PeakBytes}, core.SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestCheckpointAllValidAndCost(t *testing.T) {
 	// Peak memory of checkpoint-all on a unit chain: all n values resident
 	// in the last stage.
 	if p := s.Peak(g, 0); p != 6 {
-		t.Fatalf("peak=%v want 6", p)
+		t.Fatalf("peak=%d want 6", p)
 	}
 	if err := s.CheckNoDoubleFree(g); err != nil {
 		t.Fatal(err)
@@ -114,7 +114,7 @@ func TestSolveILPTightBudgetChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if peak := res.Sched.Peak(g, 0); peak > 3 {
-		t.Fatalf("peak=%v exceeds budget", peak)
+		t.Fatalf("peak=%d exceeds budget", peak)
 	}
 	want := bruteForceOptimal(g, 3, 0)
 	if math.Abs(res.Cost-want) > 1e-6 {
@@ -174,7 +174,7 @@ func bruteForceOptimal(g *graph.Graph, budget, overhead int64) float64 {
 		}
 		if t == n {
 			s := SolveMinR(g, S)
-			if s.Peak(g, overhead) <= float64(budget) {
+			if s.Peak(g, overhead) <= budget {
 				c := s.Cost(g)
 				if c < best {
 					best = c
@@ -225,7 +225,7 @@ func TestBruteForceAgreesOnRandomTinyGraphs(t *testing.T) {
 			}
 		}
 		maxPeak := CheckpointAll(g).Peak(g, 0)
-		budget := int64(MinBudgetLowerBound(g, 0)) + rng.Int63n(int64(maxPeak))
+		budget := MinBudgetLowerBound(g, 0) + rng.Int63n(maxPeak)
 		res, err := SolveILPCtx(context.Background(), Instance{G: g, Budget: budget, Overhead: 0}, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -333,7 +333,7 @@ func TestSolveILPInvariantsProperty(t *testing.T) {
 		if res.Sched.CheckNoDoubleFree(g) != nil {
 			return false
 		}
-		return res.Sched.Peak(g, 0) <= float64(budget)+1e-6
+		return res.Sched.Peak(g, 0) <= budget
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
@@ -358,5 +358,40 @@ func TestMinBudgetLowerBound(t *testing.T) {
 	// Node 2 needs its own 5 plus dep 5 = 10.
 	if got := MinBudgetLowerBound(g, 7); got != 17 {
 		t.Fatalf("got %d want 17", got)
+	}
+}
+
+// TestBudgetAcceptanceIsExact: a schedule fits a budget equal to its peak
+// and not one byte less, both where an incumbent is injected and where the
+// rounding heuristic filters its repairs.
+func TestBudgetAcceptanceIsExact(t *testing.T) {
+	g := chain(5, 1, 3)
+	ca := CheckpointAll(g)
+	const overhead = 7
+	peak := ca.Peak(g, overhead)
+	build := func(budget int64) *Formulation {
+		f, err := Build(Instance{G: g, Budget: budget, Overhead: overhead}, BuildOptions{FrontierAdvancing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	// Checkpoint-all's own point; rounding it at any threshold gives back
+	// checkpoint-all.
+	x, err := build(peak).InjectIncumbent(ca)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		budget int64
+		fits   bool
+	}{{peak, true}, {peak - 1, false}} {
+		f := build(tc.budget)
+		if _, err := f.InjectIncumbent(ca); (err == nil) != tc.fits {
+			t.Errorf("InjectIncumbent at budget %d (peak %d): err %v, want fits=%v", tc.budget, peak, err, tc.fits)
+		}
+		if _, _, ok := RoundingHeuristic(f)(x); ok != tc.fits {
+			t.Errorf("RoundingHeuristic at budget %d (peak %d): ok=%v, want %v", tc.budget, peak, ok, tc.fits)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/lp"
@@ -469,9 +468,8 @@ func (f *Formulation) InjectIncumbent(s *Sched) ([]float64, error) {
 	if err := s.Validate(f.Inst.G, f.FrontierAdvancing); err != nil {
 		return nil, err
 	}
-	prof := s.MemUsage(f.Inst.G, f.Inst.Overhead)
-	if prof.Peak > float64(f.Inst.Budget)+1e-6 {
-		return nil, fmt.Errorf("core: incumbent peak %.0f exceeds budget %d", prof.Peak, f.Inst.Budget)
+	if peak := s.Peak(f.Inst.G, f.Inst.Overhead); peak > f.Inst.Budget {
+		return nil, fmt.Errorf("core: incumbent peak %d exceeds budget %d", peak, f.Inst.Budget)
 	}
 	x := make([]float64, f.Prob.LP.NumVars())
 	n := f.Inst.G.Len()
@@ -502,5 +500,3 @@ func (f *Formulation) TrueCost(scaledObj float64) float64 {
 func (f *Formulation) Stats() (vars, rows int) {
 	return f.Prob.LP.NumVars(), f.Prob.LP.NumRows()
 }
-
-var _ = math.Inf // reserved for future numeric guards

@@ -183,11 +183,12 @@ func (s *Sched) freeVal(g *graph.Graph, t, i, k int) bool {
 	return true
 }
 
-// MemProfile is the memory accounting of a schedule: U[t][k] is the memory
-// in use just after computing node k in stage t (recurrences (2)–(3)).
+// MemProfile is the memory accounting of a schedule in bytes: Stage[t] is
+// the high-water mark of stage t, the largest memory in use just after
+// computing any node in it (recurrences (2)–(3)).
 type MemProfile struct {
-	U    [][]float64
-	Peak float64
+	Stage []int64
+	Peak  int64
 }
 
 // MemUsage evaluates the paper's memory recurrence for the schedule given
@@ -202,42 +203,40 @@ func (s *Sched) MemUsage(g *graph.Graph, overhead int64) *MemProfile {
 	for ei, e := range edges {
 		edgesInto[e[1]] = append(edgesInto[e[1]], ei)
 	}
-	prof := &MemProfile{U: make([][]float64, n)}
+	prof := &MemProfile{Stage: make([]int64, n)}
 	for t := 0; t < n; t++ {
-		prof.U[t] = make([]float64, n)
-		base := float64(overhead)
+		base := overhead
 		for i := 0; i < n; i++ {
 			if s.S[t][i] {
-				base += float64(g.Node(graph.NodeID(i)).Mem)
+				base += g.Node(graph.NodeID(i)).Mem
 			}
 		}
-		cur := base
+		cur, hi := base, base
 		for k := 0; k < n; k++ {
 			if s.R[t][k] {
-				cur += float64(g.Node(graph.NodeID(k)).Mem)
+				cur += g.Node(graph.NodeID(k)).Mem
 			}
-			prof.U[t][k] = cur
-			if cur > prof.Peak {
-				prof.Peak = cur
-			}
+			hi = max(hi, cur)
 			// After evaluating k, deallocate freed dependencies and possibly
 			// k itself (diagonal free, Section 4.8).
 			for _, ei := range edgesInto[k] {
 				if s.Free[t][ei] {
-					cur -= float64(g.Node(edges[ei][0]).Mem)
+					cur -= g.Node(edges[ei][0]).Mem
 				}
 			}
 			if s.freeVal(g, t, k, k) {
-				cur -= float64(g.Node(graph.NodeID(k)).Mem)
+				cur -= g.Node(graph.NodeID(k)).Mem
 			}
 		}
+		prof.Stage[t] = hi
+		prof.Peak = max(prof.Peak, hi)
 	}
 	return prof
 }
 
 // Peak returns the peak memory of the schedule including the constant
 // overhead; a convenience over MemUsage.
-func (s *Sched) Peak(g *graph.Graph, overhead int64) float64 {
+func (s *Sched) Peak(g *graph.Graph, overhead int64) int64 {
 	return s.MemUsage(g, overhead).Peak
 }
 

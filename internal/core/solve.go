@@ -156,7 +156,7 @@ func SolveILPCtx(ctx context.Context, inst Instance, opt SolveOptions) (*Result,
 	seed := opt.Seed
 	if seed == nil {
 		ca := CheckpointAll(inst.G)
-		if ca.Peak(inst.G, inst.Overhead) <= float64(inst.Budget) {
+		if ca.Peak(inst.G, inst.Overhead) <= inst.Budget {
 			seed = ca
 		}
 	}
@@ -325,7 +325,7 @@ func RoundingHeuristic(f *Formulation) milp.Heuristic {
 		// cheapest budget-feasible repair.
 		for _, th := range []float64{0.1, 0.25, 0.5, 0.75, 0.9} {
 			s := TwoPhaseRound(f.Inst.G, fs, th, nil)
-			if s.Peak(f.Inst.G, f.Inst.Overhead) > float64(f.Inst.Budget) {
+			if s.Peak(f.Inst.G, f.Inst.Overhead) > f.Inst.Budget {
 				continue
 			}
 			if f.CostCap > 0 && s.Cost(f.Inst.G) > f.CostCap {

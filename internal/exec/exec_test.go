@@ -71,13 +71,13 @@ func TestRematerializedExecutionBitIdentical(t *testing.T) {
 	// Solve between the feasibility floor and the checkpoint-all peak:
 	// low enough to force rematerialization, high enough to be feasible.
 	minB := core.MinBudgetLowerBound(m.G, m.Overhead)
-	budget := minB + (int64(basePeak)-minB)/4
+	budget := minB + (basePeak-minB)/4
 	res, err := core.SolveILPCtx(context.Background(), core.Instance{G: m.G, Budget: budget, Overhead: m.Overhead}, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != milp.StatusOptimal && res.Status != milp.StatusFeasible {
-		t.Fatalf("ILP status %v at budget %d (base peak %v)", res.Status, budget, basePeak)
+		t.Fatalf("ILP status %v at budget %d (base peak %d)", res.Status, budget, basePeak)
 	}
 	if res.Sched.Recomputations() == 0 {
 		t.Fatal("budget should force recomputation")
@@ -87,7 +87,7 @@ func TestRematerializedExecutionBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if float64(sim.PeakBytes) > float64(budget)+1e-6 {
+	if sim.PeakBytes > budget {
 		t.Fatalf("plan peak %d exceeds budget %d", sim.PeakBytes, budget)
 	}
 

@@ -79,7 +79,7 @@ func target(model string, batch int, flops bool, sc Scale) (*baselines.Target, e
 	return &baselines.Target{AD: ad, Fwd: net.Fwd, Overhead: net.Overhead()}, nil
 }
 
-func gib(b float64) float64 { return b / float64(1<<30) }
+func gib[T int64 | float64](b T) float64 { return float64(b) / float64(1<<30) }
 
 // Fig1 regenerates Figure 1: the memory-over-time profile of a 32-layer
 // network under the retain-all policy versus an optimal rematerialization
@@ -94,7 +94,7 @@ func Fig1(ctx context.Context, w io.Writer, sc Scale) error {
 	retain := core.CheckpointAll(g)
 	peak := retain.Peak(g, tg.Overhead)
 	minB := core.MinBudgetLowerBound(g, tg.Overhead)
-	budget := int64(math.Max(float64(minB), peak/3))
+	budget := max(minB, peak/3)
 	res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
 		core.SolveOptions{TimeLimit: sc.TimeLimit, RelGap: sc.RelGap})
 	if err != nil {
@@ -105,18 +105,11 @@ func Fig1(ctx context.Context, w io.Writer, sc Scale) error {
 	}
 	fmt.Fprintf(w, "# Figure 1: memory over time (GB), 32-layer network, batch 24\n")
 	fmt.Fprintf(w, "# retain-all peak %.2f GB; rematerialized budget %.2f GB; overhead %.3fx\n",
-		gib(peak), gib(float64(budget)), res.Cost/g.TotalCost())
+		gib(peak), gib(budget), res.Cost/g.TotalCost())
 	emit := func(name string, s *core.Sched) {
-		prof := s.MemUsage(g, tg.Overhead)
 		fmt.Fprintf(w, "%s:", name)
-		for t := 0; t < s.N; t++ {
-			// Report the stage's high-water mark, one column per stage.
-			hi := 0.0
-			for k := 0; k <= t; k++ {
-				if prof.U[t][k] > hi {
-					hi = prof.U[t][k]
-				}
-			}
+		// One column per stage: the stage's high-water mark.
+		for _, hi := range s.MemUsage(g, tg.Overhead).Stage {
 			fmt.Fprintf(w, " %.2f", gib(hi))
 		}
 		fmt.Fprintln(w)
@@ -152,9 +145,9 @@ func Fig3(w io.Writer, _ Scale) error {
 		if err != nil {
 			return err
 		}
-		feat := gib(float64(net.FeatureBytes))
-		ws := gib(float64(net.WorkspaceBytes))
-		par := gib(float64(net.ParamBytes))
+		feat := gib(net.FeatureBytes)
+		ws := gib(net.WorkspaceBytes)
+		par := gib(net.ParamBytes)
 		total := feat + ws + 2*par
 		fmt.Fprintf(w, "%-14s %8d %10.2f %10.2f %10.2f %10.2f %10.2f %8.0f\n",
 			r.model, r.batch, feat, ws, par, par, total, r.gpuGB)
@@ -205,7 +198,7 @@ func Fig5(ctx context.Context, w io.Writer, model string, batch int, sc Scale) (
 	ideal := g.TotalCost()
 	ca := baselines.CheckpointAll(tg)
 	minB := float64(core.MinBudgetLowerBound(g, tg.Overhead))
-	peak := ca.PeakBytes
+	peak := float64(ca.PeakBytes)
 
 	// Pre-compute baseline Pareto families.
 	families := map[string][]baselines.Point{
@@ -248,7 +241,7 @@ func Fig5(ctx context.Context, w io.Writer, model string, batch int, sc Scale) (
 		return nil, err
 	}
 	for p := 0; p < sc.BudgetPoints; p++ {
-		budget := float64(budgets[p])
+		budget := budgets[p]
 		res := ilp[p]
 		cp := CurvePoint{Strategy: "checkmate-ilp", BudgetGB: gib(budget)}
 		if res.Sched != nil {
@@ -257,7 +250,7 @@ func Fig5(ctx context.Context, w io.Writer, model string, batch int, sc Scale) (
 		}
 		out = append(out, cp)
 		// Checkmate approximation.
-		if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil {
+		if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead}, approx.Options{}); err == nil {
 			out = append(out, CurvePoint{Strategy: "checkmate-approx", BudgetGB: gib(budget), Overhead: r.Cost / ideal, Feasible: true})
 		} else {
 			out = append(out, CurvePoint{Strategy: "checkmate-approx", BudgetGB: gib(budget)})
@@ -373,7 +366,7 @@ func feasibleAtBatch(ctx context.Context, model string, b int, budget int64, str
 	g := tg.AD.Graph
 	cap := 2*tg.AD.ForwardCost() + tg.AD.BackwardCost()
 	fits := func(p baselines.Point) bool {
-		return p.PeakBytes <= float64(budget) && p.Cost <= cap
+		return p.PeakBytes <= budget && p.Cost <= cap
 	}
 	switch strategy {
 	case "checkpoint-all":
@@ -436,7 +429,7 @@ func Table2(ctx context.Context, w io.Writer, models []string, sc Scale) ([]Tabl
 		}
 		g := tg.AD.Graph
 		minB := float64(core.MinBudgetLowerBound(g, tg.Overhead))
-		peak := baselines.CheckpointAll(tg).PeakBytes
+		peak := float64(baselines.CheckpointAll(tg).PeakBytes)
 		apG, _ := baselines.GreedySweep(tg, "ap-greedy", 10)
 		var revolve []baselines.Point
 		if tg.Fwd.IsLinear() {
@@ -457,7 +450,7 @@ func Table2(ctx context.Context, w io.Writer, models []string, sc Scale) ([]Tabl
 		}
 		var rAPS, rAPG, rREV, rTP []float64
 		for p := 0; p < sc.BudgetPoints; p++ {
-			budget := float64(budgets[p])
+			budget := budgets[p]
 			res := ilp[p]
 			if res.Sched == nil {
 				continue
@@ -472,7 +465,7 @@ func Table2(ctx context.Context, w io.Writer, models []string, sc Scale) ([]Tabl
 			if c, ok := bestUnder(revolve, budget); ok {
 				rREV = append(rREV, c/opt)
 			}
-			if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead}, approx.Options{}); err == nil && r.Feasible {
+			if r, err := approx.SolveWithSearchCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead}, approx.Options{}); err == nil && r.Feasible {
 				rTP = append(rTP, r.Cost/opt)
 			}
 		}
@@ -486,7 +479,7 @@ func Table2(ctx context.Context, w io.Writer, models []string, sc Scale) ([]Tabl
 	return rows, nil
 }
 
-func bestUnder(pts []baselines.Point, budget float64) (float64, bool) {
+func bestUnder(pts []baselines.Point, budget int64) (float64, bool) {
 	best := math.Inf(1)
 	for _, p := range pts {
 		if p.PeakBytes <= budget && p.Cost < best {
@@ -524,8 +517,8 @@ func Fig7(ctx context.Context, w io.Writer, sc Scale) error {
 	}
 	g := tg.AD.Graph
 	minB := float64(core.MinBudgetLowerBound(g, tg.Overhead))
-	peak := baselines.CheckpointAll(tg).PeakBytes
-	budget := minB + (peak-minB)*0.4
+	peak := float64(baselines.CheckpointAll(tg).PeakBytes)
+	budget := int64(minB + (peak-minB)*0.4)
 
 	fmt.Fprintf(w, "# Figure 7: R-matrix schedules for VGG19 (stage rows × layer columns)\n")
 	render := func(name string, s *core.Sched) {
@@ -547,7 +540,7 @@ func Fig7(ctx context.Context, w io.Writer, sc Scale) error {
 	}
 	render("checkpoint-all (TF2.0 default)", core.CheckpointAll(g))
 	render("linearized greedy (Chen-style)", bestGreedySched(tg, budget))
-	res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: int64(budget), Overhead: tg.Overhead},
+	res, err := core.SolveILPCtx(ctx, core.Instance{G: g, Budget: budget, Overhead: tg.Overhead},
 		core.SolveOptions{TimeLimit: sc.TimeLimit, RelGap: sc.RelGap})
 	if err != nil {
 		return err
@@ -558,7 +551,7 @@ func Fig7(ctx context.Context, w io.Writer, sc Scale) error {
 	return nil
 }
 
-func bestGreedySched(tg *baselines.Target, budget float64) *core.Sched {
+func bestGreedySched(tg *baselines.Target, budget int64) *core.Sched {
 	pts, err := baselines.GreedySweep(tg, "linearized-greedy", 10)
 	if err != nil || len(pts) == 0 {
 		return core.CheckpointAll(tg.AD.Graph)
@@ -586,7 +579,7 @@ func Fig8(ctx context.Context, w io.Writer, models []string, sc Scale) error {
 			return err
 		}
 		g := tg.AD.Graph
-		peak := baselines.CheckpointAll(tg).PeakBytes
+		peak := float64(baselines.CheckpointAll(tg).PeakBytes)
 		minB := float64(core.MinBudgetLowerBound(g, tg.Overhead))
 		budget := int64(minB + (peak-minB)*0.8)
 		// Keep the ε-deflated LP budget above the feasibility floor.
@@ -599,7 +592,7 @@ func Fig8(ctx context.Context, w io.Writer, models []string, sc Scale) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "# Figure 8 panel: %s (budget %.2f GB)\n", model, gib(float64(budget)))
+		fmt.Fprintf(w, "# Figure 8 panel: %s (budget %.2f GB)\n", model, gib(budget))
 		fmt.Fprintf(w, "deterministic: mem=%.3fGB cost=%.4g feasible=%v\n", gib(det.PeakBytes), det.Cost, det.Feasible)
 		var sum float64
 		feas := 0

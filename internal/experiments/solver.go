@@ -170,7 +170,7 @@ func SolverBench(ctx context.Context, w io.Writer, sc Scale, threads int) (*Solv
 		return nil, err
 	}
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budget := minB + (peak-minB)/5 // tight: forces a real search tree
 	inst := core.Instance{G: g, Budget: budget}
 	// The rounding heuristic would close most of the tree at the root; this
@@ -388,7 +388,7 @@ func intervalBench(ctx context.Context, w io.Writer, sc Scale, perf *SolverPerf)
 		return err
 	}
 	minB := core.MinBudgetLowerBound(big, 0)
-	peak := int64(core.CheckpointAll(big).Peak(big, 0))
+	peak := core.CheckpointAll(big).Peak(big, 0)
 	budget := minB + (peak-minB)/5
 	inst := core.Instance{G: big, Budget: budget}
 	perf.IntervalGraphNodes = big.Len()
@@ -418,8 +418,8 @@ func intervalBench(ctx context.Context, w io.Writer, sc Scale, perf *SolverPerf)
 	perf.IntervalLPVars, perf.IntervalLPRows = ires.Vars, ires.Rows
 	perf.IntervalNodes = ires.Nodes
 	if ires.Sched != nil {
-		if p := ires.Sched.Peak(big, 0); p > float64(budget)+0.5 {
-			return fmt.Errorf("interval bench: schedule peak %v exceeds budget %d", p, budget)
+		if p := ires.Sched.Peak(big, 0); p > budget {
+			return fmt.Errorf("interval bench: schedule peak %d exceeds budget %d", p, budget)
 		}
 		perf.IntervalFeasible = true
 		perf.IntervalCost = ires.Cost

@@ -20,7 +20,7 @@ func TestSolverRuleIndependenceOnSeedWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budget := minB + (peak-minB)/5 // tight: forces a real search tree
 	inst := core.Instance{G: g, Budget: budget}
 	base := core.SolveOptions{TimeLimit: 120 * time.Second, DisableRounding: true}

@@ -59,7 +59,7 @@ import (
 type window struct {
 	val, user int
 	from, to  int
-	mem       float64
+	mem       int64
 	cost      float64
 	// y0 is the LP column of y_{w,from}; columns y0..y0+(tEnd-from) hold
 	// the occupancy variables y_{w,t} ("retained into stage t") for stages
@@ -117,7 +117,7 @@ type Result struct {
 type problem struct {
 	g        *graph.Graph
 	n        int
-	budget   float64
+	budget   int64
 	overhead int64
 
 	wins []window
@@ -129,7 +129,7 @@ type problem struct {
 	// residency including end stages, used by propagation floors and
 	// schedule repair.
 	coverOf [][]int32
-	rowRHS  []float64
+	rowRHS  []int64
 
 	rel *lp.Problem
 	// base is the constant of the relaxation objective: the checkpoint-all
@@ -137,10 +137,6 @@ type problem struct {
 	// kept from their left edge).
 	base float64
 }
-
-// memTol absorbs float64 rounding when comparing byte quantities that are
-// integral by construction.
-const memTol = 0.5
 
 // compile builds the window set, knapsack rows, and relaxation LP for an
 // instance. A stage whose unavoidable residency (the node computed there,
@@ -151,11 +147,11 @@ func compile(inst core.Instance) (*problem, error) {
 	n := g.Len()
 	pb := &problem{
 		g: g, n: n,
-		budget:   float64(inst.Budget),
+		budget:   inst.Budget,
 		overhead: inst.Overhead,
 		rowsOf:   make([][]int32, n),
 		coverOf:  make([][]int32, n),
-		rowRHS:   make([]float64, n),
+		rowRHS:   make([]int64, n),
 	}
 	for i := 0; i < n; i++ {
 		node := g.Node(graph.NodeID(i))
@@ -166,7 +162,7 @@ func compile(inst core.Instance) (*problem, error) {
 			w := window{
 				val: i, user: int(u),
 				from: prev + 1, to: int(u),
-				mem: float64(node.Mem), cost: node.Cost,
+				mem: node.Mem, cost: node.Cost,
 			}
 			w.tEnd = w.to - 1
 			if w.tEnd < w.from {
@@ -184,7 +180,7 @@ func compile(inst core.Instance) (*problem, error) {
 		for _, d := range g.Deps(graph.NodeID(t)) {
 			need += g.Node(d).Mem
 		}
-		pb.rowRHS[t] = pb.budget - float64(need)
+		pb.rowRHS[t] = pb.budget - need
 		if pb.rowRHS[t] < 0 {
 			return nil, fmt.Errorf("interval: stage %d needs %d bytes, over budget %d", t, need, inst.Budget)
 		}
@@ -225,9 +221,9 @@ func compile(inst core.Instance) (*problem, error) {
 		vals := make([]float64, len(pb.rowsOf[t]))
 		for k, wi := range pb.rowsOf[t] {
 			idxs[k] = int32(pb.wins[wi].col(t))
-			vals[k] = pb.wins[wi].mem
+			vals[k] = float64(pb.wins[wi].mem)
 		}
-		pb.rel.AddRow(lp.LE, pb.rowRHS[t], idxs, vals)
+		pb.rel.AddRow(lp.LE, float64(pb.rowRHS[t]), idxs, vals)
 	}
 	return pb, nil
 }
@@ -271,17 +267,17 @@ func (pb *problem) propagate(lo, hi []int32) bool {
 			if len(row) == 0 {
 				continue
 			}
-			sure := 0.0
+			var sure int64
 			for _, wi := range row {
 				if int(hi[wi]) <= t {
 					sure += pb.wins[wi].mem
 				}
 			}
-			if sure > pb.rowRHS[t]+memTol {
+			if sure > pb.rowRHS[t] {
 				return false
 			}
 			for _, wi := range row {
-				if int(lo[wi]) <= t && t < int(hi[wi]) && sure+pb.wins[wi].mem > pb.rowRHS[t]+memTol {
+				if int(lo[wi]) <= t && t < int(hi[wi]) && sure+pb.wins[wi].mem > pb.rowRHS[t] {
 					lo[wi] = int32(t + 1)
 					if lo[wi] > hi[wi] {
 						return false
@@ -293,7 +289,7 @@ func (pb *problem) propagate(lo, hi []int32) bool {
 		for wi := range pb.wins {
 			w := &pb.wins[wi]
 			// Drop option: rematerializing val in stage to.
-			if int(hi[wi]) == w.to+1 && pb.stageFloor(wi, w.to, hi, mark) > pb.budget+memTol {
+			if int(hi[wi]) == w.to+1 && pb.stageFloor(wi, w.to, hi, mark) > pb.budget {
 				hi[wi] = int32(w.to)
 				if lo[wi] > hi[wi] {
 					return false
@@ -302,7 +298,7 @@ func (pb *problem) propagate(lo, hi []int32) bool {
 			}
 			// Late starts: s = hi recomputes val in stage hi-1.
 			for int(hi[wi]) <= w.to && int(hi[wi]) > w.from && hi[wi] > lo[wi] {
-				if pb.stageFloor(wi, int(hi[wi])-1, hi, mark) <= pb.budget+memTol {
+				if pb.stageFloor(wi, int(hi[wi])-1, hi, mark) <= pb.budget {
 					break
 				}
 				hi[wi]--
@@ -311,7 +307,7 @@ func (pb *problem) propagate(lo, hi []int32) bool {
 			// Early non-free starts: s = lo > from recomputes in stage lo-1
 			// (s = from is a free checkpoint, never a recompute).
 			for int(lo[wi]) > w.from && lo[wi] <= hi[wi] && int(lo[wi]) <= w.to {
-				if pb.stageFloor(wi, int(lo[wi])-1, hi, mark) <= pb.budget+memTol {
+				if pb.stageFloor(wi, int(lo[wi])-1, hi, mark) <= pb.budget {
 					break
 				}
 				lo[wi]++
@@ -329,9 +325,9 @@ func (pb *problem) propagate(lo, hi []int32) bool {
 // stage u: the overhead, every window committed resident in u, the value
 // itself, and its not-committed dependencies. mark is caller-provided
 // all-false scratch, restored before returning.
-func (pb *problem) stageFloor(wi int, u int, hi []int32, mark []bool) float64 {
+func (pb *problem) stageFloor(wi int, u int, hi []int32, mark []bool) int64 {
 	w := &pb.wins[wi]
-	floor := float64(pb.overhead)
+	floor := pb.overhead
 	cover := pb.coverOf[u]
 	for _, ci := range cover {
 		if int(ci) != wi && int(hi[ci]) <= u && !mark[pb.wins[ci].val] {
@@ -342,7 +338,7 @@ func (pb *problem) stageFloor(wi int, u int, hi []int32, mark []bool) float64 {
 	floor += w.mem
 	for _, d := range pb.g.Deps(graph.NodeID(w.val)) {
 		if !mark[d] {
-			floor += float64(pb.g.Node(d).Mem)
+			floor += pb.g.Node(d).Mem
 		}
 	}
 	for _, ci := range cover {
@@ -389,14 +385,12 @@ func (pb *problem) evaluate(start []int32) (s *core.Sched, cost float64, ok bool
 	s = core.SolveMinR(pb.g, S)
 	prof := s.MemUsage(pb.g, pb.overhead)
 	cost = s.Cost(pb.g)
-	if prof.Peak <= pb.budget+memTol {
+	if prof.Peak <= pb.budget {
 		return s, cost, true, 0
 	}
-	for t := 0; t < n; t++ {
-		for _, u := range prof.U[t] {
-			if u >= prof.Peak {
-				peakStage = t
-			}
+	for t, hi := range prof.Stage {
+		if hi == prof.Peak {
+			peakStage = t
 		}
 	}
 	return s, cost, false, peakStage

@@ -75,8 +75,8 @@ func TestIntervalMatchesMILPOptimum(t *testing.T) {
 		if err := ivRes.Sched.Validate(inst.G, true); err != nil {
 			t.Fatalf("seed %d: invalid schedule: %v", seed, err)
 		}
-		if p := ivRes.Sched.Peak(inst.G, inst.Overhead); p > float64(inst.Budget)+memTol {
-			t.Fatalf("seed %d: peak %v over budget %d", seed, p, inst.Budget)
+		if p := ivRes.Sched.Peak(inst.G, inst.Overhead); p > inst.Budget {
+			t.Fatalf("seed %d: peak %d over budget %d", seed, p, inst.Budget)
 		}
 		if ivRes.Cost < milpRes.Cost-1e-6 {
 			t.Fatalf("seed %d (budget %d): interval %v beats the MILP optimum %v",
@@ -120,7 +120,7 @@ func trainInstance(seed int64) core.Instance {
 	}
 	g := res.Graph
 	minB := core.MinBudgetLowerBound(g, 0)
-	peak := int64(core.CheckpointAll(g).Peak(g, 0))
+	peak := core.CheckpointAll(g).Peak(g, 0)
 	budget := minB
 	if peak > minB {
 		budget = minB + rng.Int63n(peak-minB+1)
@@ -276,5 +276,28 @@ func TestIntervalTimeLimit(t *testing.T) {
 	}
 	if res.Status == milp.StatusOptimal && res.Nodes > 1 {
 		t.Fatalf("claimed optimality after %d nodes under a 1ns limit", res.Nodes)
+	}
+}
+
+// TestEvaluateIsExactAtPeak: a completed start assignment fits a budget
+// equal to its peak and not one byte less.
+func TestEvaluateIsExactAtPeak(t *testing.T) {
+	inst := trainInstance(1)
+	inst.Budget = core.CheckpointAll(inst.G).Peak(inst.G, inst.Overhead)
+	pb, err := compile(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, _ := pb.rootDomain() // keep every window from its left edge
+	s, _, _, _ := pb.evaluate(start)
+	peak := s.Peak(inst.G, inst.Overhead)
+	for _, tc := range []struct {
+		budget int64
+		fits   bool
+	}{{peak, true}, {peak - 1, false}} {
+		pb.budget = tc.budget
+		if _, _, ok, _ := pb.evaluate(start); ok != tc.fits {
+			t.Errorf("budget %d (peak %d): ok=%v, want %v", tc.budget, peak, ok, tc.fits)
+		}
 	}
 }

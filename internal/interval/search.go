@@ -301,9 +301,12 @@ func account(c *milp.Counters, sol *lp.Solution, offered *lp.Basis, isRoot bool)
 // retention to capacity-minus-margin — until the exact memory recurrence
 // fits. Small instances succeed at margin zero; large tight ones climb
 // until the spacing between surviving checkpoints leaves room for the
-// walks. A nil x seeds the keep-everything pattern before trimming.
+// walks. A nil x seeds the keep-everything pattern before trimming. The
+// margins are B/16, B/8, B/4 and B/2 of the budget B rounded to the nearest
+// byte (halves down); the last one trims every optional retention.
 func (pb *problem) attempt(lo, hi []int32, x []float64) (*core.Sched, float64, bool) {
-	margins := [...]float64{0, pb.budget / 16, pb.budget / 8, pb.budget / 4, pb.budget / 2, math.Inf(1)}
+	b := pb.budget
+	margins := [...]int64{0, (b + 7) / 16, (b + 3) / 8, (b + 1) / 4, b / 2, math.MaxInt64}
 	for _, margin := range margins {
 		if s, cost, ok := pb.attemptMargin(lo, hi, x, margin); ok {
 			return s, cost, true
@@ -316,7 +319,7 @@ func (pb *problem) attempt(lo, hi []int32, x []float64) (*core.Sched, float64, b
 // evicting windows off the true peak stage.
 const peakTries = 8
 
-func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) (*core.Sched, float64, bool) {
+func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin int64) (*core.Sched, float64, bool) {
 	start := make([]int32, len(pb.wins))
 	for wi := range pb.wins {
 		w := &pb.wins[wi]
@@ -347,17 +350,14 @@ func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) (*
 		if len(row) == 0 {
 			continue
 		}
-		capac := pb.rowRHS[t] - margin
-		if capac < 0 {
-			capac = 0
-		}
-		load := 0.0
+		capac := max(pb.rowRHS[t]-margin, 0)
+		var load int64
 		for _, wi := range row {
 			if int(start[wi]) <= t {
 				load += pb.wins[wi].mem
 			}
 		}
-		for load > capac+memTol {
+		for load > capac {
 			ev := -1
 			for _, wi := range row {
 				if int(start[wi]) <= t && int(hi[wi]) > t && (ev < 0 || pb.wins[wi].mem > pb.wins[ev].mem) {
@@ -365,7 +365,7 @@ func (pb *problem) attemptMargin(lo, hi []int32, x []float64, margin float64) (*
 				}
 			}
 			if ev < 0 {
-				if load > pb.rowRHS[t]+memTol {
+				if load > pb.rowRHS[t] {
 					return nil, 0, false
 				}
 				break // committed load within the true capacity: margin unmet, still worth evaluating

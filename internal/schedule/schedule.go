@@ -157,8 +157,6 @@ func MoveDeallocationsEarlier(g *graph.Graph, p *Plan) *Plan {
 	}
 	// A register is used by its producing compute and by computes of its
 	// consumers that occur while it is live.
-	live := make([]int, 0)
-	_ = live
 	regOf := make(map[graph.NodeID]int) // node -> live register at scan point
 	for si, st := range p.Stmts {
 		switch st.Kind {
@@ -182,7 +180,6 @@ func MoveDeallocationsEarlier(g *graph.Graph, p *Plan) *Plan {
 	// Rebuild: emit deallocations immediately after their register's last
 	// use.
 	dealloc := make(map[int][]int) // statement index -> registers to free
-	kept := make([]Stmt, 0, len(p.Stmts))
 	for _, st := range p.Stmts {
 		if st.Kind == OpDeallocate {
 			at := lastUse[st.Reg]
@@ -192,14 +189,12 @@ func MoveDeallocationsEarlier(g *graph.Graph, p *Plan) *Plan {
 	out := &Plan{NumRegs: p.NumRegs, RegNode: p.RegNode}
 	for si, st := range p.Stmts {
 		if st.Kind != OpDeallocate {
-			kept = append(kept, st)
 			out.Stmts = append(out.Stmts, st)
 		}
 		for _, r := range dealloc[si] {
 			out.Stmts = append(out.Stmts, Stmt{Kind: OpDeallocate, Reg: r, Stage: st.Stage})
 		}
 	}
-	_ = kept
 	return out
 }
 
@@ -217,10 +212,16 @@ type SimResult struct {
 }
 
 // Simulate executes the plan against the graph, enforcing correctness:
-// computes require all dependencies resident, registers are written once,
-// deallocations target live registers. overhead is added to all memory
-// readings.
+// every register holds a node of the graph and is allocated and computed
+// for that node, computes require all dependencies resident, registers are
+// written once, deallocations target live registers. overhead is added to
+// all memory readings.
 func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
+	for r, v := range p.RegNode {
+		if v < 0 || int(v) >= g.Len() {
+			return nil, fmt.Errorf("schedule: register %%r%d holds v%d, not a node of the %d-node graph", r, v, g.Len())
+		}
+	}
 	res := &SimResult{}
 	var mem int64 = overhead
 	res.PeakBytes = mem
@@ -234,6 +235,9 @@ func Simulate(g *graph.Graph, p *Plan, overhead int64) (*SimResult, error) {
 		}
 	}
 	for si, st := range p.Stmts {
+		if st.Kind != OpDeallocate && st.Node != p.RegNode[st.Reg] {
+			return nil, fmt.Errorf("schedule: stmt %d: v%d through %%r%d, which holds v%d", si, st.Node, st.Reg, p.RegNode[st.Reg])
+		}
 		switch st.Kind {
 		case OpAllocate:
 			if regLive[st.Reg] {

@@ -77,13 +77,13 @@ func TestSimulatorMatchesUAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := float64(sim.PeakBytes), res.Sched.Peak(g, 0); got != want {
-			t.Fatalf("trial %d: simulator peak %v != U accounting %v", trial, got, want)
+		if got, want := sim.PeakBytes, res.Sched.Peak(g, 0); got != want {
+			t.Fatalf("trial %d: simulator peak %d != U accounting %d", trial, got, want)
 		}
 		if sim.TotalCost != res.Cost {
 			t.Fatalf("trial %d: simulator cost %v != schedule cost %v", trial, sim.TotalCost, res.Cost)
 		}
-		if float64(sim.PeakBytes) > float64(budget) {
+		if sim.PeakBytes > budget {
 			t.Fatalf("trial %d: peak %d over budget %d", trial, sim.PeakBytes, budget)
 		}
 	}

@@ -55,7 +55,8 @@ func (p *Plan) WriteJSON(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadPlanJSON deserializes a plan written by WriteJSON.
+// ReadPlanJSON deserializes a plan written by WriteJSON. Node ids are
+// checked against a graph only by Simulate.
 func ReadPlanJSON(r io.Reader) (*Plan, error) {
 	var in planJSON
 	if err := json.NewDecoder(r).Decode(&in); err != nil {
@@ -64,8 +65,22 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 	if in.Version != planVersion {
 		return nil, fmt.Errorf("schedule: unsupported plan version %d", in.Version)
 	}
+	// Generate allocates one register, with its producing node, per
+	// allocate statement.
+	allocs := 0
+	for _, st := range in.Stmts {
+		if st.K == "a" {
+			allocs++
+		}
+	}
+	if in.NumRegs < 0 || in.NumRegs > allocs || len(in.RegNode) != in.NumRegs {
+		return nil, fmt.Errorf("schedule: plan declares %d registers with %d register nodes and %d allocations", in.NumRegs, len(in.RegNode), allocs)
+	}
 	p := &Plan{NumRegs: in.NumRegs}
 	for _, n := range in.RegNode {
+		if n < 0 {
+			return nil, fmt.Errorf("schedule: register node %d is negative", n)
+		}
 		p.RegNode = append(p.RegNode, graph.NodeID(n))
 	}
 	for _, st := range in.Stmts {
@@ -82,6 +97,9 @@ func ReadPlanJSON(r io.Reader) (*Plan, error) {
 		}
 		if st.R < 0 || st.R >= p.NumRegs {
 			return nil, fmt.Errorf("schedule: statement references register %d of %d", st.R, p.NumRegs)
+		}
+		if st.N < 0 {
+			return nil, fmt.Errorf("schedule: statement references node %d", st.N)
 		}
 		p.Stmts = append(p.Stmts, Stmt{Kind: k, Node: graph.NodeID(st.N), Reg: st.R, Stage: st.T})
 	}

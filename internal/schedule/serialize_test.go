@@ -2,10 +2,12 @@ package schedule
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/graph"
 )
 
 func TestPlanJSONRoundTrip(t *testing.T) {
@@ -99,4 +101,70 @@ func TestSchedJSONRejectsBadInput(t *testing.T) {
 			t.Fatalf("case %d accepted", i)
 		}
 	}
+}
+
+// outOfRangePlans name nodes or registers outside what a one-node graph and
+// the plan's own statements allow.
+var outOfRangePlans = []string{
+	`{"version":1,"num_regs":1,"reg_node":[7],"stmts":[{"k":"a","n":7,"r":0},{"k":"c","n":7,"r":0}]}`,
+	`{"version":1,"num_regs":1,"reg_node":[0],"stmts":[{"k":"a","n":-3,"r":0}]}`,
+	`{"version":1,"num_regs":-1}`,
+	`{"version":1,"num_regs":1,"stmts":[{"k":"a","n":0,"r":0},{"k":"c","n":0,"r":0},{"k":"d","r":0}]}`,
+	`{"version":1,"num_regs":1,"reg_node":[-1],"stmts":[{"k":"a","n":0,"r":0},{"k":"d","r":0}]}`,
+}
+
+// TestPlanDecodeRejectsOutOfRange: such a plan is an error from ReadPlanJSON
+// or from Simulate, never a panic.
+func TestPlanDecodeRejectsOutOfRange(t *testing.T) {
+	g := chainGraph(1)
+	for i, c := range outOfRangePlans {
+		p, err := ReadPlanJSON(strings.NewReader(c))
+		if err != nil {
+			continue
+		}
+		if _, err := Simulate(g, p, 0); err == nil {
+			t.Fatalf("case %d: %s simulated without error", i, c)
+		}
+	}
+}
+
+// FuzzReadPlanJSON: a decoded plan re-encodes to the same plan, and
+// simulating it against a small graph errors or succeeds without panicking.
+func FuzzReadPlanJSON(f *testing.F) {
+	for _, c := range outOfRangePlans {
+		f.Add([]byte(c))
+	}
+	var buf bytes.Buffer
+	if err := mustGenerate(f, chainGraph(3)).WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	g := chainGraph(3)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPlanJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		q, err := ReadPlanJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded plan does not decode: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("plan changed across a round trip:\n%+v\n%+v", p, q)
+		}
+		_, _ = Simulate(g, p, 0) // an error is a valid outcome; a panic fails
+	})
+}
+
+func mustGenerate(t testing.TB, g *graph.Graph) *Plan {
+	t.Helper()
+	p, err := Generate(g, core.CheckpointAll(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -126,10 +126,13 @@ func solveAt(node *fleetNode, req api.SolveRequest) (*api.SolveResponse, error) 
 	return &out, nil
 }
 
-// budgetOwnedBy searches chain-graph budgets for one whose solve key the
-// rendezvous hash assigns to nodes[want]. Ownership is a pure function of
-// (member URLs, key), so the test computes it exactly the way the fleet does.
-func budgetOwnedBy(t *testing.T, nodes []*fleetNode, spec *api.GraphSpec, want int) int64 {
+// solveOwnedBy searches chain-graph solves, over budgets and time limits,
+// for one whose solve key the rendezvous hash assigns to nodes[want].
+// Ownership is a pure function of (member URLs, key), so the test computes
+// it exactly the way the fleet does. Each key misses with probability
+// 1 - 1/len(nodes) ≤ 2/3, so on a 16-node chain the 40 keys searched all
+// miss with probability below 1e-6.
+func solveOwnedBy(t *testing.T, nodes []*fleetNode, spec *api.GraphSpec, want int) api.SolveRequest {
 	t.Helper()
 	urls := make([]string, len(nodes))
 	for i, n := range nodes {
@@ -141,18 +144,19 @@ func budgetOwnedBy(t *testing.T, nodes []*fleetNode, spec *api.GraphSpec, want i
 		t.Fatal(err)
 	}
 	for budget := int64(6); budget < int64(len(spec.Nodes)); budget++ {
-		creq, err := srv.solveRequest(string(checkmate.Auto), budget, 0, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		creq.Workload = wl
-		key := creq.Key().String()
-		if fleet.OwnerOf(urls, key) == nodes[want].url {
-			return budget
+		for limitMS := int64(20_000); limitMS < 24_000; limitMS += 1_000 {
+			creq, err := srv.solveRequest(string(checkmate.Auto), budget, limitMS, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			creq.Workload = wl
+			if fleet.OwnerOf(urls, creq.Key().String()) == nodes[want].url {
+				return api.SolveRequest{Graph: spec, Budget: budget, TimeLimitMS: limitMS}
+			}
 		}
 	}
-	t.Fatalf("no chain budget in [6,%d) is owned by node %d", len(spec.Nodes), want)
-	return 0
+	t.Fatalf("no chain solve over budgets [6,%d) and time limits [20,24) s is owned by node %d", len(spec.Nodes), want)
+	return api.SolveRequest{}
 }
 
 // waitUnhealthy polls node's fleet stats until the unhealthy-peer count
@@ -178,10 +182,10 @@ func TestFleetDeterministicRouting(t *testing.T) {
 	nodes := fleetCluster(t, 3, nil)
 	spec := chainSpec(16)
 	const ownerIdx = 2
-	budget := budgetOwnedBy(t, nodes, spec, ownerIdx)
+	req := solveOwnedBy(t, nodes, spec, ownerIdx)
 
 	for entry, n := range nodes {
-		resp, err := solveAt(n, api.SolveRequest{Graph: spec, Budget: budget})
+		resp, err := solveAt(n, req)
 		if err != nil {
 			t.Fatalf("solve via node %d: %v", entry, err)
 		}
@@ -227,10 +231,10 @@ func TestFleetOwnerCrashSolvesLocallyStamped(t *testing.T) {
 	})
 	spec := chainSpec(16)
 	const ownerIdx = 1
-	budget := budgetOwnedBy(t, nodes, spec, ownerIdx)
+	req := solveOwnedBy(t, nodes, spec, ownerIdx)
 
 	nodes[ownerIdx].crash()
-	resp, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget})
+	resp, err := solveAt(nodes[0], req)
 	if err != nil {
 		t.Fatalf("solve with owner down must still succeed: %v", err)
 	}
@@ -261,17 +265,21 @@ func TestFleetStreamCachedLocallyCountsOneHit(t *testing.T) {
 	nodes := fleetCluster(t, 3, nil)
 	spec := chainSpec(16)
 	const ownerIdx = 1
-	budget := budgetOwnedBy(t, nodes, spec, ownerIdx)
+	req := solveOwnedBy(t, nodes, spec, ownerIdx)
 
 	// A forwarded blocking solve leaves the owner's answer in the entry
 	// member's memory cache.
-	if _, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget}); err != nil {
+	if _, err := solveAt(nodes[0], req); err != nil {
 		t.Fatal(err)
 	}
 	before := nodes[0].srv.Stats()
 
 	raw, _ := json.Marshal(spec)
-	q := url.Values{"graph": {string(raw)}, "budget": {strconv.FormatInt(budget, 10)}}
+	q := url.Values{
+		"graph":         {string(raw)},
+		"budget":        {strconv.FormatInt(req.Budget, 10)},
+		"time_limit_ms": {strconv.FormatInt(req.TimeLimitMS, 10)},
+	}
 	resp, err := http.Get(nodes[0].url + "/v1/solve/stream?" + q.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -305,14 +313,14 @@ func TestFleetFailureDetectorMarksPeerDownAndHeals(t *testing.T) {
 	nodes := fleetCluster(t, 3, nil)
 	spec := chainSpec(16)
 	const victim = 2
-	budget := budgetOwnedBy(t, nodes, spec, victim)
+	req := solveOwnedBy(t, nodes, spec, victim)
 
 	nodes[victim].crash()
 	waitUnhealthy(t, nodes[0], 1)
 
 	// The victim's keys remap to the survivors: solving one now is routine,
 	// not degraded.
-	resp, err := solveAt(nodes[0], api.SolveRequest{Graph: spec, Budget: budget})
+	resp, err := solveAt(nodes[0], req)
 	if err != nil {
 		t.Fatalf("solve after demotion: %v", err)
 	}
@@ -358,11 +366,11 @@ func TestFleetRestartRejoinsViaRemoteStore(t *testing.T) {
 	})
 	spec := chainSpec(16)
 	const victim = 1
-	budget := budgetOwnedBy(t, nodes, spec, victim)
+	req := solveOwnedBy(t, nodes, spec, victim)
 
 	// Solve at the owner: write-through puts the schedule in its disk tier
 	// AND the shared corpus before the response returns.
-	first, err := solveAt(nodes[victim], api.SolveRequest{Graph: spec, Budget: budget})
+	first, err := solveAt(nodes[victim], req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +387,7 @@ func TestFleetRestartRejoinsViaRemoteStore(t *testing.T) {
 	cfg.CacheDir = t.TempDir()
 	reborn := serveOn(t, nodes[victim].addr, cfg)
 
-	again, err := solveAt(reborn, api.SolveRequest{Graph: spec, Budget: budget})
+	again, err := solveAt(reborn, req)
 	if err != nil {
 		t.Fatalf("solve on reborn member: %v", err)
 	}

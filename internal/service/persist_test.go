@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/checkmate"
 	"repro/internal/service/api"
 )
 
@@ -354,5 +355,31 @@ func TestAdmissionControlShedsLoadOver503(t *testing.T) {
 	resp, errResp := postSolve(t, ts, api.SolveRequest{Graph: chainSpec(10), Budget: 6})
 	if errResp != nil || resp == nil {
 		t.Fatalf("post-drain solve failed: %v", errResp)
+	}
+}
+
+// TestAdmissionCostCappedByTimeLimit: the solve-cost estimate itself is
+// uncapped, so admission caps it at the request's time limit — the hard
+// ceiling on the solver's work — both before and after calibration.
+func TestAdmissionCostCappedByTimeLimit(t *testing.T) {
+	srv, _ := testServer(t)
+	wl, err := buildTestWorkload(srv, chainSpec(500))
+	if err != nil {
+		t.Fatal(err)
+	}
+	creq, err := srv.solveRequest(string(checkmate.Optimal), wl.MinBudget(), 100, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creq.Workload = wl
+	if est := wl.EstimateSolveCostFor(creq); est <= 100 {
+		t.Fatalf("estimate %v does not exceed the 100 ms limit; the cap goes untested", est)
+	}
+	raw, cost := srv.admissionCost(creq)
+	if raw > 100 || cost > 100 {
+		t.Fatalf("admission estimate %v / cost %v exceeds the 100 ms time-limit cap", raw, cost)
+	}
+	if raw < 1 {
+		t.Fatalf("estimate %v below the floor of 1", raw)
 	}
 }

@@ -590,6 +590,19 @@ func (s *Server) solveRequest(method string, budget, timeLimitMS int64, relGap f
 	return creq, nil
 }
 
+// admissionCost returns a request's raw solve-cost estimate and its
+// calibrated admission cost. The raw estimate orders requests by expense;
+// the calibrator scales it by the observed actual/estimate ratio so the
+// configured limit tracks real solver milliseconds. The request's time
+// limit caps real solver work, so it caps both: the raw estimate the
+// calibrator learns against, and the calibrated cost, whatever ratio was
+// learned from other requests.
+func (s *Server) admissionCost(creq checkmate.Request) (raw, cost float64) {
+	lim := float64(creq.TimeLimit.Milliseconds())
+	raw = max(min(creq.Workload.EstimateSolveCostFor(creq), lim), 1)
+	return raw, min(s.calib.calibrated(raw), lim)
+}
+
 // solveOne resolves one request through the two cache tiers (in-memory,
 // then persistent store) and, on miss, the worker pool under cost-aware
 // admission. It is the shared engine of /v1/solve, each
@@ -607,19 +620,7 @@ func (s *Server) solveOne(ctx context.Context, creq checkmate.Request, skipLooku
 			return resp, nil
 		}
 	}
-	// Admission: the raw estimate orders requests by expense; the calibrator
-	// scales it by the observed actual/estimate ratio so the configured
-	// limit tracks real solver milliseconds. The request's time limit is
-	// re-applied after calibration — it caps real solver work no matter
-	// what ratio was learned from other requests, so the admission cost
-	// must respect the same ceiling.
-	rawEstimate := creq.Workload.EstimateSolveCostFor(creq.Method, creq.Budget, checkmate.SolveOptions{
-		TimeLimit: creq.TimeLimit, RelGap: creq.RelGap, Threads: creq.Threads,
-	})
-	cost := s.calib.calibrated(rawEstimate)
-	if lim := float64(creq.TimeLimit.Milliseconds()); lim > 0 && cost > lim {
-		cost = lim
-	}
+	rawEstimate, cost := s.admissionCost(creq)
 	// The flight runs on a detached pool context (waiters may come and go);
 	// carry the submitting request's ID over so the solve's logs and trace
 	// stay correlated with the HTTP request that triggered it.

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/checkmate"
+	"repro/internal/faultinject"
 	"repro/internal/service/api"
 )
 
@@ -291,15 +292,15 @@ func TestStreamSingleFlightAttach(t *testing.T) {
 // remaining progress frames (the solver's observer resolves the hub per
 // event, not once at solve start).
 func TestStreamAttachesToInFlightBlockingSolve(t *testing.T) {
-	if testing.Short() {
-		// The race detector's slowdown can exhaust the solve's time limit
-		// before the first incumbent; the dynamic-lookup contract itself is
-		// covered deterministically by TestKeyObserverResolvesHubPerEvent.
-		t.Skip("timing-sensitive solver integration; skipped under -short")
-	}
+	// Hold the flight at dispatch so the stream attaches while the solve is
+	// still in flight; the chain is small enough that the solve then reaches
+	// an incumbent at once, whatever the machine's speed.
+	defer faultinject.Enable(faultinject.NewInjector(map[faultinject.Point]faultinject.Rule{
+		faultinject.PoolDispatch: {Latency: 2 * time.Second, Count: 1},
+	}))()
 	srv, ts := testServer(t)
-	spec := chainSpec(48)
-	const budget = 8
+	spec := chainSpec(10)
+	const budget = 6
 
 	// Start the blocking solve and wait until it occupies a worker.
 	type blockResult struct {
